@@ -8,13 +8,9 @@
 // experiments (100s–1000s of contexts, E8) tractable at realistic sizes.
 //
 // Workloads:
-//   interp             4 interpreted threads in a tight ALU/branch loop, on
-//                      the default engine (computed-goto dispatch + fusion)
-//   interp_threaded    same, fusion off (isolates direct-threaded dispatch)
-//   interp_fused       same as interp, plus per-pattern fusion-hit stats
-//   interp_fused_nothreaded  fusion on, portable switch dispatch
-//   interp_nopredecode same, with the predecoded I-cache disabled (isolates
-//                      the predecode contribution)
+//   interp             4 interpreted threads in a tight ALU/branch loop on
+//                      the interpreter (predecode + fusion), plus
+//                      per-pattern fusion-hit stats
 //   native             4 native-coroutine threads doing compute/store/load
 //   monitor            writer storing mostly-unwatched lines + a monitor/
 //                      mwait watcher woken every 256 stores
@@ -24,8 +20,9 @@
 //                      identical across N, aggregate Minsts/s should grow
 //
 // Metrics (per workload): host_ms, sim_insts, sim_insts_per_sec,
-// events_per_sec, sim_ticks. Host-time metrics vary run to run; the
-// simulated metrics are deterministic.
+// events_per_sec, sim_ticks; interp adds fused_pairs_<pattern> and
+// fused_pair_rate. Host-time metrics vary run to run; the simulated metrics
+// are deterministic.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -91,19 +88,8 @@ std::string CountLoopSource(uint64_t iters) {
          "  halt\n";
 }
 
-struct InterpOpts {
-  bool predecode = true;
-  bool fusion = true;
-  bool threaded = true;
-};
-
-HostRun RunInterp(uint64_t iters, const InterpOpts& opts, BenchReport* report = nullptr,
-                  const std::string& config = "") {
-  MachineConfig cfg = SimhostConfig();
-  cfg.fusion = opts.fusion;
-  cfg.threaded_dispatch = opts.threaded;
-  Machine m(cfg);
-  m.SetPredecodeEnabled(opts.predecode);
+HostRun RunInterp(uint64_t iters, BenchReport& report) {
+  Machine m(SimhostConfig());
   const std::string src = CountLoopSource(iters);
   for (uint32_t t = 0; t < 4; t++) {
     const Ptid p = m.LoadSource(0, t, src, /*supervisor=*/true, "", 0,
@@ -111,24 +97,19 @@ HostRun RunInterp(uint64_t iters, const InterpOpts& opts, BenchReport* report = 
     m.Start(p);
   }
   const HostRun r = Measure(m);
-  if (report != nullptr) {
-    // Per-pattern fusion hit rate: each counted pair covers two retired
-    // instructions, so fused_pair_rate = 1.0 would mean every instruction
-    // ran as half of a fused pair. Deterministic (sim-side) metrics.
-    uint64_t total = 0;
-    for (uint32_t k = 1; k < kNumFusedOps; k++) {
-      const FusedOp kind = static_cast<FusedOp>(k);
-      uint64_t pairs = 0;
-      for (uint32_t c = 0; c < m.num_cores(); c++) {
-        pairs += m.core(c).fused_pairs(kind);
-      }
-      total += pairs;
-      report->Add("simhost", config, std::string("fused_pairs_") + FusedOpName(kind),
-                  static_cast<double>(pairs));
-    }
-    report->Add("simhost", config, "fused_pair_rate",
-                r.sim_insts > 0 ? 2.0 * static_cast<double>(total) / r.sim_insts : 0.0);
+  // Per-pattern fusion hit rate: each counted pair covers two retired
+  // instructions, so fused_pair_rate = 1.0 would mean every instruction ran
+  // as half of a fused pair. Deterministic (sim-side) metrics.
+  uint64_t total = 0;
+  for (uint32_t k = 1; k < kNumFusedOps; k++) {
+    const FusedOp kind = static_cast<FusedOp>(k);
+    const uint64_t pairs = m.core(0).fused_pairs(kind);
+    total += pairs;
+    report.Add("simhost", "interp", std::string("fused_pairs_") + FusedOpName(kind),
+               static_cast<double>(pairs));
   }
+  report.Add("simhost", "interp", "fused_pair_rate",
+             r.sim_insts > 0 ? 2.0 * static_cast<double>(total) / r.sim_insts : 0.0);
   return r;
 }
 
@@ -225,15 +206,7 @@ int main(int argc, char** argv) {
   const uint64_t monitor_iters = report.Iters(1'000'000, 20'000);
 
   Table table({"workload", "host_ms", "sim_insts", "Minsts/s", "Mevents/s"});
-  Report(report, table, "interp", RunInterp(interp_iters, InterpOpts{}));
-  Report(report, table, "interp_threaded",
-         RunInterp(interp_iters, InterpOpts{.fusion = false}));
-  Report(report, table, "interp_fused",
-         RunInterp(interp_iters, InterpOpts{}, &report, "interp_fused"));
-  Report(report, table, "interp_fused_nothreaded",
-         RunInterp(interp_iters, InterpOpts{.threaded = false}));
-  Report(report, table, "interp_nopredecode",
-         RunInterp(interp_iters, InterpOpts{.predecode = false}));
+  Report(report, table, "interp", RunInterp(interp_iters, report));
   Report(report, table, "native", RunNative(native_iters));
   Report(report, table, "monitor", RunMonitor(monitor_iters));
   const uint64_t mc_iters = report.Iters(1'500'000, 20'000);

@@ -60,30 +60,28 @@ void Core::FillPredecodeLine(PredecodedLine& line, Addr base) {
   line.base = base;
   line.tail_spans_next = false;
   line.fetch_ref = Cache::LineRef{};  // memo belongs to the old contents
-  if (fusion_enabled_) {
-    // Fusion pairing pass: every slot that can head a pattern gets the fused
-    // handler plus a cached copy of its tail. The tail slot keeps its own
-    // plain handler, so a jump landing on it mid-line executes normally and
-    // it may itself head the following pair. Slot 15's tail lives in the
-    // next code line (unmapped memory reads as 0 = nop, which never matches
-    // a pattern); the copy makes the pair self-contained, and the span rule
-    // in InvalidatePredecodeLine keeps the copy coherent.
-    for (size_t i = 0; i < kSlots; i++) {
-      DecodedSlot& s = line.slots[i];
-      const bool spans = i + 1 == kSlots;
-      const Instruction tail =
-          spans ? Decode(mem_.phys().Read32(base + kLineSize)) : line.slots[i + 1].inst;
-      const FusedOp kind = MatchFusionPair(s.inst, tail);
-      if (kind == FusedOp::kNone) {
-        continue;
-      }
-      s.tail = tail;
-      s.tail_handler = HandlerOf(tail.op);
-      s.fused = static_cast<uint8_t>(kind);
-      s.handler = FusedHandlerOf(kind);
-      s.tail_spans_next = spans;
-      line.tail_spans_next = line.tail_spans_next || spans;
+  // Fusion pairing pass: every slot that can head a pattern gets the fused
+  // handler plus a cached copy of its tail. The tail slot keeps its own
+  // plain handler, so a jump landing on it mid-line executes normally and
+  // it may itself head the following pair. Slot 15's tail lives in the
+  // next code line (unmapped memory reads as 0 = nop, which never matches
+  // a pattern); the copy makes the pair self-contained, and the span rule
+  // in InvalidatePredecodeLine keeps the copy coherent.
+  for (size_t i = 0; i < kSlots; i++) {
+    DecodedSlot& s = line.slots[i];
+    const bool spans = i + 1 == kSlots;
+    const Instruction tail =
+        spans ? Decode(mem_.phys().Read32(base + kLineSize)) : line.slots[i + 1].inst;
+    const FusedOp kind = MatchFusionPair(s.inst, tail);
+    if (kind == FusedOp::kNone) {
+      continue;
     }
+    s.tail = tail;
+    s.tail_handler = HandlerOf(tail.op);
+    s.fused = static_cast<uint8_t>(kind);
+    s.handler = FusedHandlerOf(kind);
+    s.tail_spans_next = spans;
+    line.tail_spans_next = line.tail_spans_next || spans;
   }
   code_epoch_++;  // continuations staged on the old contents must not fire
 }
@@ -207,66 +205,51 @@ Tick Core::Step(HwThread& t) {
 
 Tick Core::StepInterpreted(HwThread& t) {
   const Addr pc = t.arch().pc;
-  if (predecode_enabled_) {
-    if (fusion_enabled_) {
-      // A continuation staged by a fused head: if the thread is still at the
-      // tail pc and no fill/invalidation intervened, dispatch the tail from
-      // the head's cached copy — no line lookup, no slot indexing. The timed
-      // fetch below runs unchanged, so timing and cache stats are identical
-      // to the unfused path. A stale hit is impossible: any predecode
-      // restructuring bumps code_epoch_, and a pc mismatch (exception,
-      // redirect) just falls through to the normal path.
-      FusedCont& c = cont_[t.ptid() - ptid_base_];
-      if (c.pc == pc && c.epoch == code_epoch_) {
-        c.pc = kNoCodeLine;  // consume: a pair fuses once per head execution
-        stat_fused_[static_cast<size_t>(c.kind)]++;
-        stat_predecode_hits_++;
-        // Spanning tails (c.line == nullptr) fetch without the head line's
-        // L1I memo — the tail word lives on a different cache line.
-        const Tick fetch = c.line != nullptr ? mem_.FetchPredecoded(id_, pc, &c.line->fetch_ref)
-                                             : mem_.Fetch(id_, pc, nullptr);
-        const Tick fetch_penalty = fetch > l1i_hit_latency_ ? fetch - l1i_hit_latency_ : 0;
-        return fetch_penalty +
-               DispatchSlot(t, c.head->tail, c.head->tail_handler, nullptr, nullptr);
-      }
-    }
-    PredecodedLine& line = predecode_[(pc >> 6) & (kPredecodeLines - 1)];
-    const Addr base = LineBase(pc);
-    if (line.base == base) {
-      stat_predecode_hits_++;
-    } else {
-      FillPredecodeLine(line, base);
-      stat_predecode_misses_++;
-    }
-    // The timed fetch still runs through the simulated hierarchy (and counts
-    // in mem.fetches); only the functional word read + Decode are skipped.
-    const Tick fetch = mem_.FetchPredecoded(id_, pc, &line.fetch_ref);
+  // A continuation staged by a fused head: if the thread is still at the
+  // tail pc and no fill/invalidation intervened, dispatch the tail from the
+  // head's cached copy — no line lookup, no slot indexing. The timed fetch
+  // below runs unchanged, so timing and cache stats are identical to the
+  // unfused path. A stale hit is impossible: any predecode restructuring
+  // bumps code_epoch_, and a pc mismatch (exception, redirect) just falls
+  // through to the normal path.
+  FusedCont& c = cont_[t.ptid() - ptid_base_];
+  if (c.pc == pc && c.epoch == code_epoch_) {
+    c.pc = kNoCodeLine;  // consume: a pair fuses once per head execution
+    stat_fused_[static_cast<size_t>(c.kind)]++;
+    stat_predecode_hits_++;
+    // Spanning tails (c.line == nullptr) fetch without the head line's L1I
+    // memo — the tail word lives on a different cache line.
+    const Tick fetch = c.line != nullptr ? mem_.FetchPredecoded(id_, pc, &c.line->fetch_ref)
+                                         : mem_.Fetch(id_, pc, nullptr);
     const Tick fetch_penalty = fetch > l1i_hit_latency_ ? fetch - l1i_hit_latency_ : 0;
-    const DecodedSlot& slot = line.slots[(pc & (kLineSize - 1)) / kInstBytes];
-    return fetch_penalty + DispatchSlot(t, slot.inst, slot.handler, &line, &slot);
+    return fetch_penalty + DispatchSlot(t, c.head->tail, c.head->tail_handler, nullptr, nullptr);
   }
-  uint32_t word = 0;
-  const Tick fetch = mem_.Fetch(id_, pc, &word);
+  PredecodedLine& line = predecode_[(pc >> 6) & (kPredecodeLines - 1)];
+  const Addr base = LineBase(pc);
+  if (line.base == base) {
+    stat_predecode_hits_++;
+  } else {
+    FillPredecodeLine(line, base);
+    stat_predecode_misses_++;
+  }
+  // The timed fetch still runs through the simulated hierarchy (and counts
+  // in mem.fetches); only the functional word read + Decode are skipped.
   // Warm fetches are pipelined away; only the miss penalty stalls issue.
+  const Tick fetch = mem_.FetchPredecoded(id_, pc, &line.fetch_ref);
   const Tick fetch_penalty = fetch > l1i_hit_latency_ ? fetch - l1i_hit_latency_ : 0;
-  const Instruction inst = Decode(word);
-  return fetch_penalty + DispatchSlot(t, inst, HandlerOf(inst.op), nullptr, nullptr);
+  const DecodedSlot& slot = line.slots[(pc & (kLineSize - 1)) / kInstBytes];
+  return fetch_penalty + DispatchSlot(t, slot.inst, slot.handler, &line, &slot);
 }
 
-
-// Instantiate the handler bodies: the computed-goto engine where the
-// toolchain supports labels-as-values, and the portable switch engine always
-// (it is also the fallback when threaded dispatch is switched off).
+// Instantiate the handler bodies once: the computed-goto engine where the
+// toolchain supports labels-as-values, the portable switch engine elsewhere.
 #if CASC_HAS_COMPUTED_GOTO
 #define CASC_VM_FN ExecSlotGoto
 #define CASC_VM_GOTO 1
-#include "src/cpu/dispatch.inc"  // NOLINT(build/include)
-#undef CASC_VM_FN
-#undef CASC_VM_GOTO
-#endif
-
+#else
 #define CASC_VM_FN ExecSlotSwitch
 #define CASC_VM_GOTO 0
+#endif
 #include "src/cpu/dispatch.inc"  // NOLINT(build/include)
 #undef CASC_VM_FN
 #undef CASC_VM_GOTO

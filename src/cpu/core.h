@@ -6,7 +6,7 @@
 //
 // The interpreter is a direct-threaded engine (DESIGN.md §4j): predecoded
 // lines carry per-slot handler ids dispatched through a computed-goto table
-// (portable switch fallback when the compiler lacks labels-as-values), and a
+// (a portable switch on compilers without labels-as-values), and a
 // predecode-time fusion pass pairs common two-instruction idioms into fused
 // superinstruction heads. Fusion is timing-neutral by construction: the pair
 // still retires one instruction per pick at its own tick — the head stages a
@@ -88,34 +88,6 @@ class Core {
   void Kick();
 
   uint64_t instructions_retired() const { return stat_instructions_.get(); }
-
-  // Enables/disables the predecoded I-cache (on by default). Turning it off
-  // falls back to per-fetch Decode — used by benches/tests to isolate the
-  // predecode contribution and to cross-check trace equivalence.
-  void set_predecode_enabled(bool enabled) { predecode_enabled_ = enabled; }
-  bool predecode_enabled() const { return predecode_enabled_; }
-
-  // Selects the computed-goto handler table (true, the default) or the
-  // portable switch engine. Both dispatch the same handler bodies; on builds
-  // without labels-as-values support the switch engine always runs.
-  void set_threaded_dispatch(bool enabled) { threaded_dispatch_ = enabled; }
-  bool threaded_dispatch() const { return threaded_dispatch_; }
-
-  // Enables/disables superinstruction fusion (on by default). Toggling drops
-  // every predecoded line so pairing metadata is rebuilt consistently.
-  void set_fusion_enabled(bool enabled) {
-    fusion_enabled_ = enabled;
-    InvalidatePredecodeAll();
-  }
-  bool fusion_enabled() const { return fusion_enabled_; }
-
-  // True when this build carries the computed-goto dispatch table.
-  static constexpr bool kHasComputedGoto =
-#if CASC_HAS_COMPUTED_GOTO
-      true;
-#else
-      false;
-#endif
 
   // Drops every predecoded line. Needed after writes that bypass the memory
   // system, e.g. Program::LoadInto at Machine::Load time.
@@ -210,23 +182,25 @@ class Core {
   Tick ExecuteNativeOp(HwThread& t, GuestContext& ctx, const GuestOp& op);
   // Instruction semantics, dispatched by handler id; returns execute latency
   // (fetch handled by caller). `line`/`slot` are non-null only when dispatch
-  // may stage a fused continuation. Two builds of the same handler bodies:
-  // computed-goto and portable switch (src/cpu/dispatch.inc).
+  // may stage a fused continuation. The handler bodies (src/cpu/dispatch.inc)
+  // are built once, as a computed-goto table where the toolchain supports
+  // labels-as-values and as a portable switch elsewhere: a build-time
+  // platform choice, not a run-time knob.
   Tick DispatchSlot(HwThread& t, const Instruction& inst, uint8_t handler, PredecodedLine* line,
                     const DecodedSlot* slot) {
 #if CASC_HAS_COMPUTED_GOTO
-    if (threaded_dispatch_) {
-      return ExecSlotGoto(t, inst, handler, line, slot);
-    }
-#endif
+    return ExecSlotGoto(t, inst, handler, line, slot);
+#else
     return ExecSlotSwitch(t, inst, handler, line, slot);
+#endif
   }
 #if CASC_HAS_COMPUTED_GOTO
   Tick ExecSlotGoto(HwThread& t, const Instruction& inst, uint8_t handler, PredecodedLine* line,
                     const DecodedSlot* slot);
-#endif
+#else
   Tick ExecSlotSwitch(HwThread& t, const Instruction& inst, uint8_t handler, PredecodedLine* line,
                       const DecodedSlot* slot);
+#endif
   // Single-tick faultless ALU subset (IsFusableAlu) for fused heads.
   // Defined inline: it runs once per fused load+ALU / addi+store pair, and
   // the handlers in dispatch.inc must absorb it rather than pay a call.
@@ -332,9 +306,6 @@ class Core {
   bool has_native_ = false;  // skips the native_ lookup on all-interpreted cores
   HcallHandler hcall_;
   ConcurrencyObserver* chb_ = nullptr;
-  bool predecode_enabled_ = true;
-  bool threaded_dispatch_ = true;
-  bool fusion_enabled_ = true;
   // Bumped on every predecode fill/invalidation; validates continuations.
   uint64_t code_epoch_ = 1;
   Ptid ptid_base_;                // first local ptid; indexes cont_

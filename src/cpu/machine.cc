@@ -9,14 +9,10 @@ namespace casc {
 
 namespace {
 uint32_t g_default_host_threads = 0;
-bool g_default_fusion = true;
-bool g_default_threaded_dispatch = true;
 }  // namespace
 
 void SetDefaultHostThreads(uint32_t n) { g_default_host_threads = n; }
 uint32_t GetDefaultHostThreads() { return g_default_host_threads; }
-void SetDefaultFusionEnabled(bool enabled) { g_default_fusion = enabled; }
-void SetDefaultThreadedDispatchEnabled(bool enabled) { g_default_threaded_dispatch = enabled; }
 
 Machine::Machine(const MachineConfig& config)
     : config_(config), sim_(config.ghz, config.seed) {
@@ -48,8 +44,6 @@ Machine::Machine(const MachineConfig& config)
   for (uint32_t c = 0; c < config_.num_cores; c++) {
     cores_.push_back(std::make_unique<Core>(sim_, *mem_, *ts_, c, config_.timings));
     Core* core = cores_.back().get();
-    core->set_threaded_dispatch(config_.threaded_dispatch && g_default_threaded_dispatch);
-    core->set_fusion_enabled(config_.fusion && g_default_fusion);
     ts_->SetWakeHook(c, [core] { core->Kick(); });
   }
 }
@@ -98,24 +92,6 @@ void Machine::SetConcurrencyObserver(ConcurrencyObserver* observer) {
   ts_->SetConcurrencyObserver(observer);
   for (auto& core : cores_) {
     core->SetConcurrencyObserver(observer);
-  }
-}
-
-void Machine::SetPredecodeEnabled(bool enabled) {
-  for (auto& core : cores_) {
-    core->set_predecode_enabled(enabled);
-  }
-}
-
-void Machine::SetFusionEnabled(bool enabled) {
-  for (auto& core : cores_) {
-    core->set_fusion_enabled(enabled);
-  }
-}
-
-void Machine::SetThreadedDispatch(bool enabled) {
-  for (auto& core : cores_) {
-    core->set_threaded_dispatch(enabled);
   }
 }
 

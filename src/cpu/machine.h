@@ -38,12 +38,6 @@ struct MachineConfig {
   MemConfig mem;
   HwtConfig hwt;
   CoreTimings timings;
-  // Interpreter engine knobs (DESIGN.md §4j). Both default on; switching
-  // both off restores the legacy decode-and-switch dispatch semantics
-  // exactly (every simulated stat is byte-identical across all four
-  // combinations — these are host-speed knobs, not model knobs).
-  bool threaded_dispatch = true;
-  bool fusion = true;
 };
 
 // Process-wide default for MachineConfig::host_threads, consulted when a
@@ -51,14 +45,6 @@ struct MachineConfig {
 // value) selects the legacy engine.
 void SetDefaultHostThreads(uint32_t n);
 uint32_t GetDefaultHostThreads();
-
-// Process-wide kill switches for the §4j engine knobs, ANDed with the
-// per-machine MachineConfig values at construction. They let tools whose
-// scenarios build machines internally (casc-chaos) force the fallback
-// engines for cross-engine byte-compares without threading a config through
-// every scenario. Both start true (knobs governed by MachineConfig alone).
-void SetDefaultFusionEnabled(bool enabled);
-void SetDefaultThreadedDispatchEnabled(bool enabled);
 
 class Machine {
  public:
@@ -100,15 +86,6 @@ class Machine {
   // Attaches/detaches a dynamic race detector to the thread system and every
   // core (casc-race's `--race-check`; nullptr restores the zero-cost default).
   void SetConcurrencyObserver(ConcurrencyObserver* observer);
-
-  // Toggles the predecoded I-cache on every core (benchmarks/tests only).
-  void SetPredecodeEnabled(bool enabled);
-
-  // Toggles superinstruction fusion / computed-goto dispatch on every core
-  // (§4j). Fusion toggles drop all predecoded lines so pairing metadata is
-  // rebuilt consistently.
-  void SetFusionEnabled(bool enabled);
-  void SetThreadedDispatch(bool enabled);
 
   // --- driving the simulation ---------------------------------------------
   void RunFor(Tick cycles) { RunUntil(sim_.now() + cycles); }

@@ -4,6 +4,10 @@
 #include <cassert>
 #include <limits>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace casc {
 
 namespace {
@@ -11,6 +15,19 @@ namespace {
 constexpr Tick kTickMax = std::numeric_limits<Tick>::max();
 
 Tick SaturatingAdd(Tick a, Tick b) { return b > kTickMax - a ? kTickMax : a + b; }
+
+// CPUs this thread may run on: the affinity mask where the platform exposes
+// one (taskset, cgroup cpusets), else hardware_concurrency() (0 = unknown).
+uint32_t UsableHostCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<uint32_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
+}
 
 }  // namespace
 
@@ -21,9 +38,8 @@ ShardEngine::ShardEngine(Simulation& sim, uint32_t num_shards, uint32_t host_thr
       hop_(std::max<Tick>(1, hop)) {
   assert(num_shards >= 1 && num_shards <= shard::kMaxShards);
   run_pred_ = [] { return true; };
-  // hardware_concurrency() == 0 means "unknown"; assume a real multicore.
-  const uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 1) {
+  // 0 means "unknown"; assume a real multicore.
+  if (UsableHostCpus() == 1) {
     wake_workers_ = false;
     worker_spin_limit_ = 1;
   }

@@ -63,6 +63,11 @@ class ShardEngine final : public ShardRouter {
   // Earliest live event across all shards (Tick max when drained).
   Tick NextTickAll() const;
 
+  // True when the host grants this process a single CPU (affinity mask, or
+  // hardware_concurrency() where there is none), so workers park instead of
+  // spinning and the host thread drains every round itself.
+  bool parks_workers() const { return !wake_workers_; }
+
   // --- ShardRouter ---------------------------------------------------------
   bool Executing() const override { return executing_.load(std::memory_order_acquire); }
   void Post(uint32_t dst, Tick when, std::function<void()> fn) override;
@@ -117,8 +122,8 @@ class ShardEngine final : public ShardRouter {
 
   // Worker pool: lazily spawned; workers spin on the claim word (windows are
   // about a microsecond of work — parking between consecutive rounds would
-  // dominate) and park only after a long dry spell. On a single-hardware-core
-  // host spinning is pure theft from the thread doing the work, so workers
+  // dominate) and park only after a long dry spell. On a host that grants one
+  // CPU spinning is pure theft from the thread doing the work, so workers
   // park immediately and are never woken: the main thread drains every claim
   // itself (`wake_workers_` false). Results are identical either way — only
   // which host thread runs a shard changes. The claim word packs

@@ -23,15 +23,15 @@ MachineConfig BaseMachine(uint32_t num_cores) {
 std::vector<LatticePoint> BuildLattice(uint32_t num_cores) {
   std::vector<LatticePoint> points;
 
-  points.push_back({"default", BaseMachine(num_cores), /*predecode=*/true});
+  points.push_back({"default", BaseMachine(num_cores)});
 
   {
-    LatticePoint p{"nopredecode-smt1", BaseMachine(num_cores), /*predecode=*/false};
+    LatticePoint p{"smt1", BaseMachine(num_cores)};
     p.machine.hwt.smt_width = 1;
     points.push_back(p);
   }
   {
-    LatticePoint p{"smt4-tiny-tiers", BaseMachine(num_cores), true};
+    LatticePoint p{"smt4-tiny-tiers", BaseMachine(num_cores)};
     p.machine.hwt.smt_width = 4;
     p.machine.hwt.rf_slots = 2;
     p.machine.hwt.l2_slots = 2;
@@ -39,12 +39,12 @@ std::vector<LatticePoint> BuildLattice(uint32_t num_cores) {
     points.push_back(p);
   }
   {
-    LatticePoint p{"nodirty", BaseMachine(num_cores), true};
+    LatticePoint p{"nodirty", BaseMachine(num_cores)};
     p.machine.hwt.dirty_register_tracking = false;
     points.push_back(p);
   }
   {
-    LatticePoint p{"smt1-rf-only", BaseMachine(num_cores), true};
+    LatticePoint p{"smt1-rf-only", BaseMachine(num_cores)};
     p.machine.hwt.smt_width = 1;
     p.machine.hwt.prefetch_on_wake = false;
     p.machine.hwt.l2_slots = 0;
@@ -52,26 +52,13 @@ std::vector<LatticePoint> BuildLattice(uint32_t num_cores) {
     points.push_back(p);
   }
   {
-    LatticePoint p{"monitor2", BaseMachine(num_cores), true};
+    LatticePoint p{"monitor2", BaseMachine(num_cores)};
     p.machine.mem.monitor.max_watches_per_thread = 2;
     points.push_back(p);
   }
   {
-    LatticePoint p{"secretkey", BaseMachine(num_cores), true};
+    LatticePoint p{"secretkey", BaseMachine(num_cores)};
     p.machine.hwt.security_model = SecurityModel::kSecretKey;
-    points.push_back(p);
-  }
-  // Interpreter engine knobs (DESIGN.md §4j): fusion and dispatch mechanism
-  // are host-speed choices, so these points must match the default point's
-  // architectural signature bit for bit — including cache/timing stats.
-  {
-    LatticePoint p{"nofusion", BaseMachine(num_cores), true};
-    p.machine.fusion = false;
-    points.push_back(p);
-  }
-  {
-    LatticePoint p{"fused-nothreaded", BaseMachine(num_cores), true};
-    p.machine.threaded_dispatch = false;
     points.push_back(p);
   }
   return points;
@@ -166,7 +153,7 @@ DiffFailure RunDifferential(const Program& program, const DiffOptions& opts) {
   uint64_t fired_total = 0;
   for (size_t i : points) {
     const LatticePoint& p = lattice[i];
-    SimRun run(program, specs, p.machine, p.predecode);
+    SimRun run(program, specs, p.machine);
     // Attach before any event runs: boot starts fire their release edges
     // into all-zero clocks, which is exactly the initial state. Never under
     // chaos: injected faults are deliberate races by construction.
@@ -255,8 +242,8 @@ DiffFailure RunDifferential(const Program& program, const DiffOptions& opts) {
     // also covers the injection/detection/recovery counters: the campaign
     // must replay tick-for-tick from its seed.
     const LatticePoint& p = lattice[points[0]];
-    SimRun a(program, specs, p.machine, p.predecode);
-    SimRun b(program, specs, p.machine, p.predecode);
+    SimRun a(program, specs, p.machine);
+    SimRun b(program, specs, p.machine);
     if (chaos) {
       a.ArmChaos(opts.chaos);
       b.ArmChaos(opts.chaos);

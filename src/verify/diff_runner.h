@@ -1,7 +1,7 @@
 // Differential runner: executes one program across a lattice of simulator
 // timing configurations, checks each against the untimed reference model for
 // its architectural signature, and cross-checks simulator-internal
-// invariants. Timing parameters (SMT width, predecode, storage tiers, dirty
+// invariants. Timing parameters (SMT width, storage tiers, dirty
 // tracking, prefetch) must never change architectural outcomes; architectural
 // parameters (security model, monitor capacities) get their own oracle run.
 #ifndef SRC_VERIFY_DIFF_RUNNER_H_
@@ -19,11 +19,9 @@ namespace verify {
 struct LatticePoint {
   std::string name;
   MachineConfig machine;
-  bool predecode = true;
 };
 
-// The built-in configuration lattice. Points 0..4 plus the interpreter
-// engine points ("nofusion", "fused-nothreaded") share one architectural
+// The built-in configuration lattice. Points 0..4 share one architectural
 // signature; "monitor2" narrows the per-thread watch cap and "secretkey"
 // switches the security model (each gets its own reference run).
 const std::vector<LatticePoint>& DefaultLattice();

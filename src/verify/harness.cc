@@ -178,13 +178,12 @@ struct SimRun::ChaosRig {
 SimRun::~SimRun() = default;
 
 SimRun::SimRun(const Program& program, const std::vector<ThreadSpec>& specs,
-               const MachineConfig& cfg, bool predecode)
+               const MachineConfig& cfg)
     : program_(program), specs_(specs), machine_(cfg) {
   machine_.mem().AddSupervisorOnlyRange(0, 0x1000);
-  program_.LoadInto(machine_.mem().phys());
   // Fresh machine: no lines are predecoded yet, so loading straight into
   // physical memory needs no predecode invalidation here.
-  machine_.SetPredecodeEnabled(predecode);
+  program_.LoadInto(machine_.mem().phys());
   for (const ThreadSpec& s : specs_) {
     machine_.threads().InitThread(s.ptid, s.entry, s.supervisor, s.edp, s.tdtr, s.tdt_size);
   }

@@ -64,8 +64,7 @@ std::string CompareSnapshots(const Snapshot& a, const Snapshot& b,
 // One simulator execution under a given timing configuration.
 class SimRun {
  public:
-  SimRun(const Program& program, const std::vector<ThreadSpec>& specs, const MachineConfig& cfg,
-         bool predecode);
+  SimRun(const Program& program, const std::vector<ThreadSpec>& specs, const MachineConfig& cfg);
   ~SimRun();
 
   // Runs to quiescence (or the event cap). Returns the snapshot.

@@ -383,7 +383,7 @@ DynamicResult RunWithDetector(const std::string& source) {
   const std::vector<verify::ThreadSpec> specs =
       verify::ParseThreadSpecs(p, cfg.hwt.threads_per_core);
   EXPECT_FALSE(specs.empty());
-  verify::SimRun run(p, specs, cfg, /*predecode=*/true);
+  verify::SimRun run(p, specs, cfg);
   verify::RaceDetector detector(cfg.hwt.threads_per_core);
   run.machine().SetConcurrencyObserver(&detector);
   DynamicResult out;

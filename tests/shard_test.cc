@@ -5,6 +5,10 @@
 // count.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <sstream>
 #include <string>
 #include <vector>
@@ -276,6 +280,43 @@ TEST(ShardEngineTest, TooManyCoresFallBackToLegacyEngine) {
   EXPECT_FALSE(m.sharded());
   m.RunFor(100);  // the legacy path still drives the machine
   EXPECT_EQ(m.sim().now(), 100u);
+}
+
+// The one-CPU mode (workers park, the host thread drains every round) must
+// follow the CPUs this process may use, not the machine's core count: under
+// `taskset -c 0` on a multicore host, spinning workers would steal the one
+// CPU the host thread needs. ctest also runs this suite under taskset
+// (shard_affinity_taskset), where the inherited mask itself has one CPU.
+TEST(ShardAffinity, ParksWorkersWhenAffinityAllowsOneCpu) {
+#if defined(__linux__)
+  cpu_set_t inherited;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(inherited), &inherited), 0);
+  MachineConfig cfg;
+  cfg.num_cores = 2;
+  cfg.host_threads = 2;
+  {
+    Machine m(cfg);
+    EXPECT_EQ(m.engine()->parks_workers(), CPU_COUNT(&inherited) == 1);
+  }
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &inherited)) {
+    cpu++;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  bool parks = false;
+  {
+    Machine m(cfg);
+    parks = m.engine()->parks_workers();
+    m.RunFor(100);  // the host thread alone drives every round
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(inherited), &inherited), 0);
+  EXPECT_TRUE(parks);
+#else
+  GTEST_SKIP() << "no affinity mask on this platform";
+#endif
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // lattice runner, and the shrinker.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -184,7 +183,7 @@ TEST(Harness, SimAndRefAgreeOnSimpleProgram) {
   )");
   const auto specs = ParseThreadSpecs(p, 16);
   const LatticePoint& pt = DefaultLattice()[0];
-  SimRun run(p, specs, pt.machine, pt.predecode);
+  SimRun run(p, specs, pt.machine);
   Snapshot sim = run.Run(1'000'000);
   RefConfig rc;
   Snapshot ref = RunOnRef(p, specs, rc, 100'000);
@@ -418,52 +417,6 @@ TEST(Shrink, SimplifiesIntegerLiteralsTowardZero) {
 TEST(Shrink, CountInstructionsSkipsLabelsDirectivesComments) {
   EXPECT_EQ(CountInstructions("lab:\n.align 64\n# c\n  add r1, r2, r3\n  halt\n"), 2u);
   EXPECT_EQ(CountInstructions("a:\nb:\n  .word 5\n"), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Superinstruction fusion (§4j): whole-corpus trace/stats equivalence
-
-// Every saved corpus program must run tick- and stats-identically with the
-// fusion pass on and off (both on the default timing point). This is the
-// strong form of the timing-neutrality contract: not just matching
-// architectural signatures (the lattice covers that) but byte-identical
-// stats JSON and equal final clocks.
-TEST(Fusion, CorpusRunsIdenticallyWithFusionOnAndOff) {
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(CASC_CORPUS_DIR)) {
-    if (entry.path().extension() == ".casm") {
-      files.push_back(entry.path());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  ASSERT_FALSE(files.empty());
-  for (const auto& path : files) {
-    SCOPED_TRACE(path.filename().string());
-    std::ifstream in(path);
-    std::stringstream src;
-    src << in.rdbuf();
-    const Program p = MustAssemble(src.str());
-    const auto specs = ParseThreadSpecs(p, 16);
-    auto run = [&](bool fusion, Snapshot* snap, std::string* stats, Tick* end) {
-      MachineConfig cfg = DefaultLattice()[0].machine;
-      cfg.fusion = fusion;
-      SimRun r(p, specs, cfg, /*predecode=*/true);
-      *snap = r.Run(2'000'000);
-      std::ostringstream os;
-      r.machine().sim().stats().DumpJson(os);
-      *stats = os.str();
-      *end = r.machine().sim().now();
-    };
-    Snapshot with, without;
-    std::string stats_with, stats_without;
-    Tick end_with = 0, end_without = 0;
-    run(true, &with, &stats_with, &end_with);
-    run(false, &without, &stats_without, &end_without);
-    EXPECT_TRUE(with.quiesced);
-    EXPECT_EQ(CompareSnapshots(with, without, {}, "fused", "unfused"), "");
-    EXPECT_EQ(end_with, end_without);
-    EXPECT_EQ(stats_with, stats_without);
-  }
 }
 
 }  // namespace

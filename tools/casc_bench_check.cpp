@@ -138,18 +138,17 @@ void CheckBenchReport(const std::string& path, double interp_floor_minsts) {
              "simhost config \"" + config + "\" missing positive \"sim_insts_per_sec\"");
       }
     }
-    // The host-parallel scaling sweep (DESIGN.md §4i) and the interpreter
-    // engine ablation ladder (§4j) must be present: a refactor that silently
-    // dropped the sharded-engine or dispatch/fusion rows would otherwise
-    // still pass the per-config checks above.
+    // The host-parallel scaling sweep (DESIGN.md §4i) and the interpreter row
+    // (§4j) must be present: a refactor that silently dropped the
+    // sharded-engine or interpreter rows would otherwise still pass the
+    // per-config checks above.
     for (const char* required :
-         {"multicore8_ht1", "multicore8_ht2", "multicore8_ht4", "multicore8_ht8", "interp",
-          "interp_threaded", "interp_fused", "interp_fused_nothreaded", "interp_nopredecode"}) {
+         {"multicore8_ht1", "multicore8_ht2", "multicore8_ht4", "multicore8_ht8", "interp"}) {
       if (host_ms_ok.find(required) == host_ms_ok.end()) {
         Fail(path, "simhost sweep missing required config \"" + std::string(required) + "\"");
       }
     }
-    // The fused row must carry the per-pattern fusion-hit-rate stats (§4j):
+    // The interp row must carry the per-pattern fusion-hit-rate stats (§4j):
     // every fused_pairs_* count present and finite, and the overall pair
     // rate present. The count-loop workload fuses its addi+bne pair, so the
     // rate must also be strictly positive — a fusion pass that silently
@@ -166,7 +165,7 @@ void CheckBenchReport(const std::string& path, double interp_floor_minsts) {
       const JsonValue* config = r.Find("config");
       const JsonValue* metric = r.Find("metric");
       const JsonValue* value = r.Find("value");
-      if (config == nullptr || !config->is_string() || config->str_v != "interp_fused" ||
+      if (config == nullptr || !config->is_string() || config->str_v != "interp" ||
           metric == nullptr || !metric->is_string()) {
         continue;
       }
@@ -180,11 +179,11 @@ void CheckBenchReport(const std::string& path, double interp_floor_minsts) {
     }
     for (const auto& [metric, ok] : pattern_ok) {
       if (!ok) {
-        Fail(path, "simhost config \"interp_fused\" missing \"" + metric + "\"");
+        Fail(path, "simhost config \"interp\" missing \"" + metric + "\"");
       }
     }
     if (!rate_ok) {
-      Fail(path, "simhost config \"interp_fused\" missing positive \"fused_pair_rate\"");
+      Fail(path, "simhost config \"interp\" missing positive \"fused_pair_rate\"");
     }
     if (interp_floor_minsts > 0) {
       double interp_minsts = -1;

@@ -50,7 +50,6 @@ void PrintUsage(FILE* out) {
                "                  [--duration=N] [--at=T | --every=N | --prob=P]\n"
                "                  [--expect-halt] [--host-threads=N] "
                "[--stats-json=<path>]\n"
-               "                  [--no-fusion] [--no-threaded-dispatch]\n"
                "                  [--trace-json=<path>] [--list] [--help]\n");
 }
 
@@ -119,11 +118,6 @@ int main(int argc, char** argv) {
   // process default" sentinel, so this one call threads the flag through to
   // every machine the campaign builds.
   SetDefaultHostThreads(static_cast<uint32_t>(cfg.GetUint("host-threads", 0)));
-  // Interpreter engine kill switches (DESIGN.md §4j): scenario machines are
-  // built internally, so the cross-engine byte-compare in
-  // tools/chaos_determinism.sh reaches them through the process defaults.
-  SetDefaultFusionEnabled(!cfg.GetBool("no-fusion", false));
-  SetDefaultThreadedDispatchEnabled(!cfg.GetBool("no-threaded-dispatch", false));
 
   ScenarioOptions opts;
   opts.seed = cfg.GetUint("seed", 1);

@@ -3,7 +3,7 @@
 //   casc-run prog.casm [--entry=symbol] [--supervisor=true] [--max-cycles=N]
 //            [--cores=1] [--threads-per-core=64] [--host-threads=N] [--trace]
 //            [--trace-json=<path>] [--dump-stats] [--stats-json=<path>]
-//            [--no-lint] [--race-check] [--no-fusion] [--no-threaded-dispatch]
+//            [--no-lint] [--race-check]
 //
 // The program is linted by default before it runs (diagnostics go to stderr;
 // the simulation proceeds regardless — the simulator is the ground truth).
@@ -31,12 +31,6 @@
 // With a multi-core machine (--cores=N), harness threads land on core
 // ptid / threads-per-core — `--cores=4 --threads-per-core=1` spreads t0..t3
 // across four cores/shards.
-//
-// --no-fusion / --no-threaded-dispatch switch off the interpreter engine's
-// superinstruction fusion and computed-goto dispatch (DESIGN.md §4j). Both
-// are host-speed knobs: simulated output — stdout, stats, traces — is
-// byte-identical in every combination (with both off, the engine is the
-// legacy decode-and-switch dispatch exactly).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -59,8 +53,7 @@ void PrintUsage(FILE* out) {
                "                [--max-cycles=N] [--cores=1] [--threads-per-core=64]\n"
                "                [--host-threads=N] [--trace] [--trace-json=<path>]\n"
                "                [--dump-stats] [--stats-json=<path>] [--no-lint]\n"
-               "                [--race-check] [--no-fusion] [--no-threaded-dispatch]\n"
-               "                [--help]\n");
+               "                [--race-check] [--help]\n");
 }
 
 }  // namespace
@@ -93,8 +86,6 @@ int main(int argc, char** argv) {
   mc.num_cores = static_cast<uint32_t>(cfg.GetUint("cores", 1));
   mc.hwt.threads_per_core = static_cast<uint32_t>(cfg.GetUint("threads-per-core", 64));
   mc.host_threads = static_cast<uint32_t>(cfg.GetUint("host-threads", 0));
-  mc.fusion = !cfg.GetBool("no-fusion", false);
-  mc.threaded_dispatch = !cfg.GetBool("no-threaded-dispatch", false);
   if (cfg.GetBool("race-check", false) && mc.host_threads != 0) {
     std::fprintf(stderr,
                  "note: --race-check forces --host-threads=0 (the race observer "

@@ -8,11 +8,9 @@
 #
 # Two scenario groups, two contracts (DESIGN.md §4i/§4k):
 #   single-core — two-run identity per engine PLUS cross-engine identity
-#     across legacy (--host-threads=0), sharded (1 and 4 workers), and the
-#     interpreter fallback engines (--no-fusion, --no-fusion
-#     --no-threaded-dispatch): scenario machines are one-core, so the
-#     sharded solo fast path must reproduce the legacy engine exactly, and
-#     dispatch/fusion are timing-neutral.
+#     across legacy (--host-threads=0) and sharded (1 and 4 workers):
+#     scenario machines are one-core, so the sharded solo fast path must
+#     reproduce the legacy engine exactly.
 #   cross-core — two-run identity per engine, and the sharded aggregate must
 #     be independent of the worker count (ht1 == ht4). ht0 is a different
 #     timing model (direct cross-core paths instead of conservative mailbox
@@ -53,14 +51,8 @@ two_run() {
 for seed in 1 7; do
   # --- single-core group: two-run identity AND cross-engine identity -------
   ref=""
-  for eng in "ht0" "ht1" "ht4" "nofusion" "legacy-dispatch"; do
-    case "$eng" in
-      ht*) flags="--host-threads=${eng#ht}" ;;
-      nofusion) flags="--host-threads=0 --no-fusion" ;;
-      legacy-dispatch) flags="--host-threads=0 --no-fusion --no-threaded-dispatch" ;;
-    esac
-    # shellcheck disable=SC2086  # flags is a deliberate word list
-    two_run single-core "$seed" "$eng" $flags || continue
+  for eng in "ht0" "ht1" "ht4"; do
+    two_run single-core "$seed" "$eng" "--host-threads=${eng#ht}" || continue
     a="$scratch/chaos.single-core.seed$seed.$eng.json"
     if [ -z "$ref" ]; then
       ref="$a"

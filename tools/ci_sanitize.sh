@@ -9,10 +9,10 @@
 # determinism, and the wedged-fixture watchdog negative; DESIGN.md §4k).
 # Memory errors in the simulator, the reference model, or the
 # fault-recovery paths surface here rather than as silent state divergence.
-# The direct-threaded dispatch engine and the fusion pass (DESIGN.md §4j) are
-# default-on, so every tier exercises the computed-goto table (when the
-# compiler supports it) and the fused-continuation hot path; the fuzz
-# lattice's nofusion / fused-nothreaded points cover the other engines.
+# The interpreter has one run-time engine (DESIGN.md §4j), so every tier
+# exercises the computed-goto table (when the compiler supports it) and the
+# fused-continuation hot path; tools/ci_portable.sh covers the portable
+# switch engine that such compilers never build.
 #
 # The `thread` tier builds with TSan and runs the tests labelled `tsan`: the
 # concurrency-analyzer suite, the monitor/mwait race fixtures, the sharded

@@ -42,7 +42,7 @@ DOC_FILES = [
 ]
 
 # Directories whose sources are scanned for flags the tools actually parse.
-FLAG_SOURCE_DIRS = ["tools", "bench", "examples"]
+FLAG_SOURCE_DIRS = ["tools", "bench", "examples", "reqbench"]
 
 # Flags owned by external tools (ctest, cmake) or used as placeholders in
 # prose; everything else mentioned in the docs must exist in our sources.
