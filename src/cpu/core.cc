@@ -152,9 +152,11 @@ void Core::Cycle() {
     if (active) {
       active_cycles++;
     }
-    // Sleep until the next tick at which some thread can issue. When this
-    // core is the only live actor, advance the clock in place and keep
-    // stepping — same timing, no event dispatch round trip per tick.
+    // Sleep until the next tick at which some thread can issue. When that
+    // tick comes strictly before every other live event, advance the clock
+    // in place and keep stepping — the tick event would have fired next
+    // anyway, so timing and order are unchanged, minus the dispatch round
+    // trip per tick.
     //
     // NextWorkTick(after) == max(after, min ready_at over runnable threads)
     // (Tick max if none), so when no Add/Remove ran during the steps the

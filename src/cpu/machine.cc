@@ -126,9 +126,7 @@ bool Machine::DrainBudget(Tick limit) {
     }
     return true;
   }
-  while (!ts_->halted() && sim_.queue().NextTick() <= limit) {
-    sim_.queue().RunOne();
-  }
+  sim_.queue().RunWhile(limit, [this] { return !ts_->halted(); });
   return sim_.queue().Empty();
 }
 

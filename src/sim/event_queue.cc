@@ -45,6 +45,7 @@ void EventQueue::ScheduleFn(Tick when, std::function<void()> fn) {
 
 void EventQueue::AddEntry(Entry entry) {
   entry_count_++;
+  next_live_lb_ = std::min(next_live_lb_, entry.when);
   if (InWheelWindow(entry.when)) {
     const size_t bucket = static_cast<size_t>(entry.when & kWheelMask);
     wheel_[bucket].push_back(std::move(entry));

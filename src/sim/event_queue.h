@@ -78,17 +78,31 @@ class EventQueue {
   Tick now() const { return now_; }
 
   // Quiet-advance fast path for self-rescheduling actors (the per-core tick):
-  // when nothing else is live, the actor may move the clock to `t` directly
-  // instead of scheduling an event and paying a full dispatch round trip.
-  // Refused — caller must schedule normally — if any live event exists, if
-  // `t` is behind now(), or if `t` lies beyond the innermost RunUntil/RunAll
-  // limit (so RunFor(x) still returns control at exactly x). Dead wheel/heap
-  // entries are reclaimed lazily by the normal scan paths.
+  // the actor may move the clock to `t` in place and keep going instead of
+  // scheduling an event at `t` and paying a full dispatch round trip. Allowed
+  // exactly when that event would have been the next to fire with nothing
+  // in between: now() <= t <= the innermost RunUntil/RunAll/RunWhile limit
+  // (so RunFor(x) still returns control at exactly x), and `t` strictly
+  // before the earliest live event (a live event at `t` was scheduled first
+  // and must fire first under same-tick FIFO). Firing order and every tick
+  // are therefore unchanged; only events_fired() counts fewer dispatches.
+  // Otherwise refused and the caller schedules normally. The common check
+  // is one compare against a lower bound on the earliest live tick, which
+  // is recomputed only when `t` reaches it.
   bool AdvanceIfIdle(Tick t) {
-    if (live_count_ != 0 || t < now_ || t > advance_limit_) {
+    if (t < now_ || t > advance_limit_) {
       return false;
     }
+    if (t >= next_live_lb_) {
+      next_live_lb_ = NextTick();
+      if (t >= next_live_lb_) {
+        return false;
+      }
+    }
     now_ = t;
+    if (!heap_.empty()) {
+      DrainHeap();  // the wheel window moved; keep heap entries FIFO-first
+    }
     return true;
   }
 
@@ -117,8 +131,9 @@ class EventQueue {
   bool Empty() const { return live_count_ == 0; }
   size_t LiveCount() const { return live_count_; }
 
-  // Total events fired since construction (reusable + one-shot). Used by the
-  // host-throughput bench to derive events/sec.
+  // Total events dispatched since construction (reusable + one-shot). Used
+  // by the host-throughput bench to derive events/sec. Ticks an actor takes
+  // in place through AdvanceIfIdle are not events and are not counted.
   uint64_t events_fired() const { return fired_count_; }
 
   // Internal storage footprint including dead (rescheduled/cancelled)
@@ -221,6 +236,7 @@ class EventQueue {
   size_t entry_count_ = 0;     // live + not-yet-reclaimed dead, wheel + heap
   uint64_t fired_count_ = 0;
   Tick advance_limit_ = 0;     // AdvanceIfIdle ceiling; raised inside RunUntil/RunAll
+  Tick next_live_lb_ = 0;      // <= earliest live tick; lowered by AddEntry
 };
 
 }  // namespace casc

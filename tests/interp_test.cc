@@ -277,6 +277,19 @@ TEST(InterpGoldenTest, R0IsHardwiredZero) {
 
 // --- predecoded I-cache + fusion (§4e, §4j) ---------------------------------
 
+// 200 iterations of add/sd/ld/addi/bne: 1005 instructions, a0 = 20100.
+constexpr const char* kCountLoop =
+    "  li a0, 0\n"
+    "  li a1, 200\n"
+    "  li a2, 0x8000\n"
+    "loop:\n"
+    "  add a0, a0, a1\n"
+    "  sd a0, 0(a2)\n"
+    "  ld a3, 0(a2)\n"
+    "  addi a1, a1, -1\n"
+    "  bne a1, r0, loop\n"
+    "  halt\n";
+
 // Predecode and fusion are host-side speedups only. This loop's figures are
 // the ones the per-fetch-decode, unfused, and switch-dispatch interpreters
 // all produced bit for bit: the same instructions retire at the same ticks
@@ -287,18 +300,7 @@ TEST(InterpEngineTest, CountLoopTimingPinned) {
   Machine m;
   ThreadTracer tracer;
   m.threads().SetTracer(&tracer);
-  const Ptid p = m.LoadSource(0, 0,
-                              "  li a0, 0\n"
-                              "  li a1, 200\n"
-                              "  li a2, 0x8000\n"
-                              "loop:\n"
-                              "  add a0, a0, a1\n"
-                              "  sd a0, 0(a2)\n"
-                              "  ld a3, 0(a2)\n"
-                              "  addi a1, a1, -1\n"
-                              "  bne a1, r0, loop\n"
-                              "  halt\n",
-                              /*supervisor=*/true);
+  const Ptid p = m.LoadSource(0, 0, kCountLoop, /*supervisor=*/true);
   m.Start(p);
   m.RunToQuiescence();
   EXPECT_EQ(m.core(0).instructions_retired(), 1005u);
@@ -315,6 +317,35 @@ TEST(InterpEngineTest, CountLoopTimingPinned) {
   EXPECT_EQ(events, expected);
   EXPECT_EQ(m.core(0).fused_pairs(FusedOp::kLoadAlu), 200u);
   EXPECT_EQ(m.core(0).fused_pairs_total(), 200u);
+}
+
+TEST(InterpEngineTest, CountLoopQuietAdvancesPastLiveHostEvent) {
+  // Same loop as CountLoopTimingPinned, with an unrelated host event live far
+  // in the future. The core must still step every tick in place rather than
+  // dispatching its tick event each cycle, and simulated timing must not move.
+  Machine m;
+  ThreadTracer tracer;
+  m.threads().SetTracer(&tracer);
+  const Ptid p = m.LoadSource(0, 0, kCountLoop, /*supervisor=*/true);
+  uint64_t loop_events = 0;
+  m.sim().queue().ScheduleFn(1'000'000,
+                             [&] { loop_events = m.sim().TotalEventsFired(); });
+  m.Start(p);
+  m.RunToQuiescence();
+  EXPECT_EQ(m.core(0).instructions_retired(), 1005u);
+  EXPECT_EQ(m.threads().thread(p).ReadGpr(10), 20100u);
+  EXPECT_EQ(m.sim().now(), 1'000'000u);
+  std::vector<std::tuple<Tick, Ptid, TraceCause>> events;
+  for (const ThreadTracer::Event& e : tracer.events()) {
+    events.emplace_back(e.tick, e.ptid, e.cause);
+  }
+  const std::vector<std::tuple<Tick, Ptid, TraceCause>> expected = {
+      {0, p, TraceCause::kStart}, {2736, p, TraceCause::kStop}};
+  EXPECT_EQ(events, expected);
+  // Events dispatched up to and including the host event: a handful, not
+  // one per issue tick.
+  EXPECT_GT(loop_events, 0u);
+  EXPECT_LE(loop_events, 8u);
 }
 
 TEST(PredecodeTest, SelfModifyingCodeObservedAfterStore) {

@@ -412,30 +412,161 @@ TEST(EventQueueTest, ClampAdvanceLimitBreaksQuietAdvanceChain) {
   EXPECT_EQ(q.now(), 20u);  // RunWhile leaves now() where execution stopped
 }
 
+TEST(EventQueueTest, AdvanceIfIdleRunsUpToLaterLiveEvent) {
+  // A live event further out does not block the fast path: the actor may
+  // take every tick strictly before it in place, and the event still fires
+  // at its own tick afterwards.
+  EventQueue q;
+  std::vector<std::pair<Tick, int>> log;
+  bool ok = false;
+  q.ScheduleFn(100, [&] { log.emplace_back(q.now(), 2); });
+  q.ScheduleFn(10, [&] {
+    ok = q.AdvanceIfIdle(99);
+    log.emplace_back(q.now(), 1);
+  });
+  q.RunAll();
+  EXPECT_TRUE(ok);
+  const std::vector<std::pair<Tick, int>> expected = {{99, 1}, {100, 2}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(q.events_fired(), 2u);
+}
+
+TEST(EventQueueTest, AdvanceIfIdleRefusesAtLiveEventTick) {
+  // A live event at exactly `t` was scheduled before the actor's tick would
+  // be, so it must fire first: the fast path refuses and the actor's own
+  // schedule lands behind it in FIFO order.
+  EventQueue q;
+  std::vector<std::pair<Tick, int>> log;
+  LambdaEvent tick([&] { log.emplace_back(q.now(), 1); });
+  bool before_ok = false;
+  bool at_ok = true;
+  q.ScheduleFn(50, [&] { log.emplace_back(q.now(), 2); });
+  q.ScheduleFn(10, [&] {
+    before_ok = q.AdvanceIfIdle(49);
+    at_ok = q.AdvanceIfIdle(50);
+    q.Schedule(&tick, 50);
+  });
+  q.RunAll();
+  EXPECT_TRUE(before_ok);
+  EXPECT_FALSE(at_ok);
+  const std::vector<std::pair<Tick, int>> expected = {{50, 2}, {50, 1}};
+  EXPECT_EQ(log, expected);
+}
+
+TEST(EventQueueTest, AdvanceIfIdleMigratesHeapEntriesFifoFirst) {
+  // An in-place advance moves the wheel window like any other advance: a
+  // far-future heap entry that now falls inside it must migrate before a
+  // later direct schedule for the same tick, or FIFO order inverts.
+  EventQueue q;
+  std::vector<int> log;
+  const Tick far = 2 * EventQueue::kWheelTicks;
+  q.ScheduleFn(far, [&] { log.push_back(1); });  // heap: beyond the window
+  q.ScheduleFn(10, [&] {
+    ASSERT_TRUE(q.AdvanceIfIdle(far - 100));
+    q.ScheduleFn(far, [&] { log.push_back(2); });  // wheel: same tick
+  });
+  q.RunAll();
+  const std::vector<int> expected = {1, 2};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(q.now(), far);
+}
+
+TEST(EventQueueTest, EarlierScheduleMidChainStopsQuietAdvance) {
+  // The fast path checks a cached lower bound on the earliest live tick. A
+  // new event earlier than that bound must lower it at once, and removing
+  // the event must let the chain continue once the bound is recomputed.
+  EventQueue q;
+  LambdaEvent blocker([] {});
+  bool first = false;
+  bool blocked = true;
+  bool up_to = false;
+  bool resumed = false;
+  q.ScheduleFn(1000, [] {});
+  q.ScheduleFn(10, [&] {
+    first = q.AdvanceIfIdle(20);
+    q.Schedule(&blocker, 30);
+    blocked = q.AdvanceIfIdle(40);
+    up_to = q.AdvanceIfIdle(29);
+    q.Deschedule(&blocker);
+    resumed = q.AdvanceIfIdle(40);
+  });
+  q.RunAll();
+  EXPECT_TRUE(first);
+  EXPECT_FALSE(blocked);
+  EXPECT_TRUE(up_to);
+  EXPECT_TRUE(resumed);
+  EXPECT_EQ(q.now(), 1000u);
+}
+
+// A per-tick actor like the core's tick event: logs each step, sometimes
+// posts a near-future one-shot (as a core's store or wake does mid-chain),
+// draws its next tick from the shared Rng, and either takes it in place via
+// AdvanceIfIdle (`quiet`) or always schedules itself for it.
+class SteppingActor final : public Event {
+ public:
+  SteppingActor(EventQueue& q, Rng& rng, std::vector<std::pair<Tick, int>>& log, int steps,
+                Tick max_gap, bool quiet)
+      : q_(q), rng_(rng), log_(log), remaining_(steps), max_gap_(max_gap), quiet_(quiet) {}
+
+  void Fire() override {
+    for (;;) {
+      log_.emplace_back(q_.now(), -1);
+      if (--remaining_ == 0) {
+        return;
+      }
+      if (rng_.NextBounded(8) == 0) {
+        q_.ScheduleFnAfter(1 + rng_.NextBounded(max_gap_),
+                           [this] { log_.emplace_back(q_.now(), -2); });
+      }
+      const Tick next = q_.now() + 1 + rng_.NextBounded(max_gap_);
+      if (!quiet_ || !q_.AdvanceIfIdle(next)) {
+        q_.Schedule(this, next);
+        return;
+      }
+    }
+  }
+
+ private:
+  EventQueue& q_;
+  Rng& rng_;
+  std::vector<std::pair<Tick, int>>& log_;
+  int remaining_;
+  Tick max_gap_;
+  bool quiet_;
+};
+
 TEST(EventQueueTest, WindowedExecutionMatchesMonolithicRun) {
   // Randomized differential: the same self-rescheduling event population run
   // (a) in one RunAll and (b) chopped into fixed windows the way the shard
-  // engine drives each shard. Firing order and every draw from the
-  // data-dependent Rng must be identical.
+  // engine drives each shard, with a stepping actor among the random events
+  // that (c) quiet-advances wherever the queue allows it instead of always
+  // scheduling. Firing order and every draw from the data-dependent Rng must
+  // be identical across all four runs.
   constexpr Tick kWindow = 30;
   constexpr int kChains = 8;
   constexpr int kSteps = 200;
-  auto run = [](bool windowed) {
+  struct Run {
+    std::vector<std::pair<Tick, int>> log;
+    uint64_t fired = 0;
+  };
+  auto run = [](bool windowed, bool quiet) {
     EventQueue q;
     Rng rng(0xC0FFEE);
-    std::vector<std::pair<Tick, int>> log;
+    Run r;
     std::function<void(int, int)> arm = [&](int id, int remaining) {
       if (remaining == 0) {
         return;
       }
-      q.ScheduleFnAfter(1 + rng.NextBounded(3 * kWindow), [&arm, &q, &log, id, remaining] {
-        log.emplace_back(q.now(), id);
+      q.ScheduleFnAfter(1 + rng.NextBounded(3 * kWindow), [&arm, &q, &r, id, remaining] {
+        r.log.emplace_back(q.now(), id);
         arm(id, remaining - 1);
       });
     };
     for (int id = 0; id < kChains; id++) {
       arm(id, kSteps);
     }
+    SteppingActor actor(q, rng, r.log, 2 * kSteps, /*max_gap=*/4, quiet);
+    q.Schedule(&actor, 1);
     if (windowed) {
       while (!q.Empty()) {
         const Tick t = q.NextTick();
@@ -444,9 +575,16 @@ TEST(EventQueueTest, WindowedExecutionMatchesMonolithicRun) {
     } else {
       q.RunAll();
     }
-    return log;
+    r.fired = q.events_fired();
+    return r;
   };
-  EXPECT_EQ(run(false), run(true));
+  const Run base = run(false, false);
+  EXPECT_EQ(base.log, run(true, false).log);
+  const Run quiet = run(false, true);
+  EXPECT_EQ(base.log, quiet.log);
+  EXPECT_EQ(base.log, run(true, true).log);
+  // The quiet actor really took ticks in place rather than always losing.
+  EXPECT_LT(quiet.fired, base.fired);
 }
 
 TEST(HistogramTest, ExactForSmallValues) {
