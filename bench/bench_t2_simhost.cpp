@@ -14,10 +14,8 @@
 //   native             4 native-coroutine threads doing compute/store/load
 //   monitor            writer storing mostly-unwatched lines + a monitor/
 //                      mwait watcher woken every 256 stores
-//   multicore8_htN     8 cores each in a private count loop, on N host
-//                      threads (N in 1,2,4,8): the host-parallel shard
-//                      engine's scaling rows — sim_insts/sim_ticks must be
-//                      identical across N, aggregate Minsts/s should grow
+//   multicore8         8 cores each in a private count loop: the host cost
+//                      of a multi-core machine on the one event queue
 //
 // Metrics (per workload): host_ms, sim_insts, sim_insts_per_sec,
 // events_per_sec, sim_ticks; interp adds fused_pairs_<pattern> and
@@ -42,8 +40,6 @@ struct HostRun {
 };
 
 // Runs `m` to quiescence under a wall clock, collecting host + sim totals.
-// TotalEventsFired sums every shard's queue, so the count is right on both
-// legacy and sharded machines.
 HostRun Measure(Machine& m) {
   const uint64_t events_before = m.sim().TotalEventsFired();
   const auto t0 = std::chrono::steady_clock::now();
@@ -167,17 +163,13 @@ HostRun RunMonitor(uint64_t iters) {
   return Measure(m);
 }
 
-// Host-parallel scaling (DESIGN.md §4i): 8 simulated cores, each running one
-// interpreted count loop in its own code region, on `host_threads` host
-// threads. Cores share nothing but the (read-only) physical memory map, so
-// the aggregate simulated work is fixed and the rows isolate the shard
-// engine's scaling: Minsts/s should grow with host threads while sim_insts
-// and sim_ticks stay byte-identical to the --host-threads=1 row.
-HostRun RunMulticore(uint64_t iters, uint32_t host_threads) {
+// 8 simulated cores, each running one interpreted count loop in its own code
+// region. Cores share nothing but the (read-only) physical memory map, so the
+// row measures what interleaving eight busy cores on one queue costs.
+HostRun RunMulticore(uint64_t iters) {
   constexpr uint32_t kCores = 8;
   MachineConfig cfg = SimhostConfig();
   cfg.num_cores = kCores;
-  cfg.host_threads = host_threads;
   Machine m(cfg);
   const std::string src = CountLoopSource(iters);
   for (uint32_t c = 0; c < kCores; c++) {
@@ -209,10 +201,7 @@ int main(int argc, char** argv) {
   Report(report, table, "interp", RunInterp(interp_iters, report));
   Report(report, table, "native", RunNative(native_iters));
   Report(report, table, "monitor", RunMonitor(monitor_iters));
-  const uint64_t mc_iters = report.Iters(1'500'000, 20'000);
-  for (uint32_t ht : {1u, 2u, 4u, 8u}) {
-    Report(report, table, "multicore8_ht" + std::to_string(ht), RunMulticore(mc_iters, ht));
-  }
+  Report(report, table, "multicore8", RunMulticore(report.Iters(1'500'000, 20'000)));
   table.Print();
   return report.Finish() ? 0 : 1;
 }

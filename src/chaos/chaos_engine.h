@@ -10,7 +10,6 @@
 #define SRC_CHAOS_CHAOS_ENGINE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "src/chaos/fault.h"
@@ -124,14 +123,6 @@ class ChaosEngine {
 
   Machine& machine_;
   Rng rng_;  // private stream: injection choices never perturb workload RNG
-  // Engine state is mutated from injection hooks and observers, which on a
-  // sharded machine (host_threads >= 2) fire from concurrent shard workers.
-  // Hooks take this lock around record/counter/RNG mutation and release it
-  // before calling back into the thread system (whose observers re-enter the
-  // engine and take it afresh). Aggregate determinism survives the lock
-  // because every record match is keyed (by class + victim ptid), never by
-  // arrival order.
-  std::mutex mu_;
   Nic* nic_ = nullptr;
   BlockDevice* block_ = nullptr;
   MsixBridge* msix_ = nullptr;

@@ -64,13 +64,9 @@ struct ScenarioOutcome {
 
 // Every class RunScenario can build, in CLI listing order.
 const std::vector<FaultClass>& AllScenarioClasses();
-// The cross-core subset (two-core machines; see IsCrossCoreFault): their
-// aggregate outcome is deterministic per engine, but cross-core timing
-// differs between host_threads=0 (direct paths) and host_threads>=1
-// (mailbox hops), so byte-identity across engines only holds within each
-// sharding regime.
+// The cross-core subset (two-core machines; see IsCrossCoreFault).
 const std::vector<FaultClass>& CrossCoreScenarioClasses();
-// The single-core subset: byte-identical across every engine.
+// The single-core subset.
 const std::vector<FaultClass>& SingleCoreScenarioClasses();
 
 ScenarioOutcome RunScenario(FaultClass cls, const ScenarioOptions& opts,

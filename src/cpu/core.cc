@@ -28,7 +28,6 @@ Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id, Core
       id_(id),
       timings_(timings),
       l1i_hit_latency_(mem.config().l1i.hit_latency),
-      eq_(&sim.QueueFor(sim.num_shards() != 0 ? id : 0)),
       tick_event_(this),
       ptid_base_(ts.PtidOf(id, 0)),
       cont_(ts.config().threads_per_core),
@@ -102,13 +101,13 @@ void Core::Kick() {
   if (q.Empty()) {
     return;
   }
-  const Tick next = q.NextWorkTick(eq_->now());
+  const Tick next = q.NextWorkTick(sim_.queue().now());
   if (next == std::numeric_limits<Tick>::max()) {
     return;
   }
   if (!tick_event_.scheduled() || tick_event_.when() > next) {
     stat_idle_wakeups_++;
-    eq_->Schedule(&tick_event_, std::max(next, eq_->now()));
+    sim_.queue().Schedule(&tick_event_, std::max(next, sim_.queue().now()));
   }
 }
 
@@ -118,15 +117,14 @@ void Core::Cycle() {
   }
   SchedQueue& q = ts_.queue(id_);
   const uint32_t width = ts_.config().smt_width;
-  // Counters batch into locals and flush once per Cycle return: the sharded
-  // CounterHandle costs a TLS load plus two dependent loads per increment,
-  // and nothing reads these counters until after the run completes.
+  // Counters batch into locals and flush once per Cycle return: nothing
+  // reads these counters until after the run completes.
   uint64_t insts = 0;
   uint64_t active_cycles = 0;
   // `now` is carried across AdvanceIfIdle instead of re-read: nothing inside
   // the loop body advances the clock except that call, which sets it to
   // exactly `next`.
-  Tick now = eq_->now();
+  Tick now = sim_.queue().now();
   for (;;) {
     const uint64_t gen = q.generation();
     Tick unpicked_min;
@@ -180,8 +178,8 @@ void Core::Cycle() {
     if (next == std::numeric_limits<Tick>::max()) {
       break;
     }
-    if (!eq_->AdvanceIfIdle(next)) {
-      eq_->Schedule(&tick_event_, next);
+    if (!sim_.queue().AdvanceIfIdle(next)) {
+      sim_.queue().Schedule(&tick_event_, next);
       break;
     }
     now = next;
@@ -199,7 +197,7 @@ Tick Core::Step(HwThread& t) {
     latency = StepInterpreted(t);
   }
   if (t.state() == ThreadState::kRunnable) {
-    t.set_ready_at(eq_->now() + std::max<Tick>(1, latency));
+    t.set_ready_at(sim_.queue().now() + std::max<Tick>(1, latency));
     ts_.store(id_).Touch(t);
   }
   return latency;

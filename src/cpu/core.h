@@ -296,10 +296,6 @@ class Core {
   CoreId id_;
   CoreTimings timings_;
   Tick l1i_hit_latency_;  // hoisted from mem config: read once per instruction
-  // This core's event queue, bound once at construction: the shard queue for
-  // core `id` on a sharded machine, the one legacy queue otherwise. The hot
-  // Cycle/Step paths must not re-resolve the shard table per tick.
-  EventQueue* eq_;
   TickEvent tick_event_;
   std::vector<HwThread*> picked_;  // PickUpTo scratch, sized smt_width at construction
   std::unordered_map<Ptid, NativeState> native_;

@@ -3,44 +3,13 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 namespace casc {
 
-namespace {
-uint32_t g_default_host_threads = 0;
-}  // namespace
-
-void SetDefaultHostThreads(uint32_t n) { g_default_host_threads = n; }
-uint32_t GetDefaultHostThreads() { return g_default_host_threads; }
-
 Machine::Machine(const MachineConfig& config)
     : config_(config), sim_(config.ghz, config.seed) {
-  uint32_t host_threads = config_.host_threads == MachineConfig::kHostThreadsDefault
-                              ? GetDefaultHostThreads()
-                              : config_.host_threads;
-  if (config_.num_cores > shard::kMaxShards) {
-    host_threads = 0;  // beyond the shard table: fall back to the legacy engine
-  }
-  if (host_threads >= 1) {
-    // Sharding must be enabled before anything interns a stat, schedules an
-    // event, or captures a queue pointer.
-    sim_.stats().EnableSharding(config_.num_cores);
-    sim_.EnableSharding(config_.num_cores);
-    engine_ = std::make_unique<ShardEngine>(sim_, config_.num_cores, host_threads,
-                                            config_.cross_shard_hop);
-    sim_.set_router(engine_.get());
-  }
   mem_ = std::make_unique<MemorySystem>(sim_, config_.mem, config_.num_cores);
-  if (engine_ != nullptr) {
-    mem_->EnableSharding(engine_.get());
-  }
   ts_ = std::make_unique<ThreadSystem>(sim_, *mem_, config_.hwt, config_.num_cores);
-  if (engine_ != nullptr) {
-    engine_->AddBarrierHook([this] { mem_->FlushWindow(); });
-    engine_->AddBarrierHook([this] { ts_->MergeHaltProposals(); });
-    engine_->SetHaltedFn([this] { return ts_->halted(); });
-  }
   for (uint32_t c = 0; c < config_.num_cores; c++) {
     cores_.push_back(std::make_unique<Core>(sim_, *mem_, *ts_, c, config_.timings));
     Core* core = cores_.back().get();
@@ -95,37 +64,11 @@ void Machine::SetConcurrencyObserver(ConcurrencyObserver* observer) {
   }
 }
 
-void Machine::RunUntil(Tick tick) {
-  if (engine_ != nullptr) {
-    engine_->Advance(tick, std::numeric_limits<uint64_t>::max(), /*stop_on_halt=*/false,
-                     /*normalize_to_limit=*/true);
-    return;
-  }
-  sim_.queue().RunUntil(tick);
-}
-
 bool Machine::RunToQuiescence(uint64_t max_events) {
-  if (engine_ != nullptr) {
-    const uint64_t fired =
-        engine_->Advance(std::numeric_limits<Tick>::max(), max_events, /*stop_on_halt=*/false,
-                         /*normalize_to_limit=*/false);
-    return fired < max_events;
-  }
-  const uint64_t fired = sim_.queue().RunAll(max_events);
-  return fired < max_events;
+  return sim_.queue().RunAll(max_events) < max_events;
 }
 
 bool Machine::DrainBudget(Tick limit) {
-  if (engine_ != nullptr) {
-    engine_->Advance(limit, std::numeric_limits<uint64_t>::max(), /*stop_on_halt=*/true,
-                     /*normalize_to_limit=*/false);
-    for (uint32_t s = 0; s < sim_.num_shards(); s++) {
-      if (!sim_.QueueFor(s).Empty()) {
-        return false;
-      }
-    }
-    return true;
-  }
   sim_.queue().RunWhile(limit, [this] { return !ts_->halted(); });
   return sim_.queue().Empty();
 }

@@ -12,7 +12,6 @@
 #include "src/hwt/thread_system.h"
 #include "src/isa/assembler.h"
 #include "src/mem/memory_system.h"
-#include "src/sim/shard_engine.h"
 #include "src/sim/simulation.h"
 
 namespace casc {
@@ -21,30 +20,14 @@ struct MachineConfig {
   double ghz = 3.0;
   uint64_t seed = 1;
   uint32_t num_cores = 1;
-  // Host-parallel execution (DESIGN.md §4i). 0 = legacy single-queue engine
-  // (the default); n >= 1 = one shard per core, driven by up to n host
-  // threads between conservative sync barriers (n = 1 keeps the rounds
-  // serial and is bit-identical to any other n by construction);
-  // kHostThreadsDefault = adopt the process-wide default installed by
-  // SetDefaultHostThreads (how the tools' --host-threads flag reaches every
-  // machine a tool builds).
-  static constexpr uint32_t kHostThreadsDefault = UINT32_MAX;
-  uint32_t host_threads = kHostThreadsDefault;
-  // Conservative sync window width: a lower bound on the latency of every
-  // cross-shard interaction. Matches HwtConfig::remote_start_cycles (and the
-  // 30-cycle exception-write delay) so windows never shift an effect's
-  // arrival tick.
-  Tick cross_shard_hop = 30;
+  // Accepted and ignored: the simulator has one single-queue engine. Kept
+  // only because the request benchmark still sets it; the next benchmark
+  // change removes it.
+  uint32_t host_threads = 0;
   MemConfig mem;
   HwtConfig hwt;
   CoreTimings timings;
 };
-
-// Process-wide default for MachineConfig::host_threads, consulted when a
-// machine is built with host_threads == kHostThreadsDefault. 0 (the initial
-// value) selects the legacy engine.
-void SetDefaultHostThreads(uint32_t n);
-uint32_t GetDefaultHostThreads();
 
 class Machine {
  public:
@@ -56,11 +39,6 @@ class Machine {
   ThreadSystem& threads() { return *ts_; }
   Core& core(CoreId id) { return *cores_[id]; }
   uint32_t num_cores() const { return static_cast<uint32_t>(cores_.size()); }
-
-  // True when this machine executes on the sharded engine (host_threads >= 1
-  // resolved at construction). The engine accessor is for tests.
-  bool sharded() const { return engine_ != nullptr; }
-  ShardEngine* engine() { return engine_.get(); }
 
   // Loads an assembled program into memory and points a hardware thread at
   // `entry` (a program symbol, or the program base if empty). The thread
@@ -89,9 +67,8 @@ class Machine {
 
   // --- driving the simulation ---------------------------------------------
   void RunFor(Tick cycles) { RunUntil(sim_.now() + cycles); }
-  // Advances simulated time to `tick` (all shards reach it together on a
-  // sharded machine).
-  void RunUntil(Tick tick);
+  // Advances simulated time to `tick`.
+  void RunUntil(Tick tick) { sim_.queue().RunUntil(tick); }
   // Runs until the event queue drains or the machine halts. Returns false if
   // the event cap was hit (runaway guard). `max_events` counts dispatched
   // events only: ticks a core takes in place (EventQueue::AdvanceIfIdle) are
@@ -116,7 +93,6 @@ class Machine {
  private:
   MachineConfig config_;
   Simulation sim_;
-  std::unique_ptr<ShardEngine> engine_;  // null on legacy machines
   std::unique_ptr<MemorySystem> mem_;
   std::unique_ptr<ThreadSystem> ts_;
   std::vector<std::unique_ptr<Core>> cores_;

@@ -5,14 +5,12 @@
 #ifndef SRC_DEV_FABRIC_H_
 #define SRC_DEV_FABRIC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <vector>
 
 #include "src/dev/nic.h"
-#include "src/sim/shard.h"
 #include "src/sim/simulation.h"
 
 namespace casc {
@@ -61,19 +59,19 @@ class Fabric {
     Route(src_node, frame);
   }
 
-  uint64_t frames_routed() const { return frames_routed_.load(std::memory_order_relaxed); }
-  uint64_t frames_dropped() const { return frames_dropped_.load(std::memory_order_relaxed); }
-  uint64_t frames_lost() const { return frames_lost_.load(std::memory_order_relaxed); }
+  uint64_t frames_routed() const { return frames_routed_; }
+  uint64_t frames_dropped() const { return frames_dropped_; }
+  uint64_t frames_lost() const { return frames_lost_; }
 
   // Chaos-engine link-fault hook, consulted once per routable frame (after
   // dst lookup, before the loss roll). Return < 0 to drop the frame in
   // transit (counted in frames_lost), 0 to leave it alone, or > 0 extra
-  // ticks of wire delay. Runs on whichever shard transmitted.
+  // ticks of wire delay.
   using LinkFaultHook = std::function<int64_t(uint64_t src, uint64_t dst)>;
   void SetLinkFaultHook(LinkFaultHook fn) { link_fault_hook_ = std::move(fn); }
-  // Observes every frame the fabric commits to deliver (at route time, on
-  // the transmitting shard). The chaos engine closes a link-fault's recovery
-  // window on the next delivered frame.
+  // Observes every frame the fabric commits to deliver (at route time). The
+  // chaos engine closes a link-fault's recovery window on the next delivered
+  // frame.
   using DeliveryObserver = std::function<void(uint64_t src, uint64_t dst)>;
   void SetDeliveryObserver(DeliveryObserver fn) { delivery_observer_ = std::move(fn); }
 
@@ -85,11 +83,9 @@ class Fabric {
   std::vector<std::pair<uint64_t, Nic*>> nodes_;
   LinkFaultHook link_fault_hook_;
   DeliveryObserver delivery_observer_;
-  // Counters are commutative sums: relaxed increments keep the final values
-  // deterministic when TX handlers route from concurrent shards.
-  std::atomic<uint64_t> frames_routed_{0};
-  std::atomic<uint64_t> frames_dropped_{0};
-  std::atomic<uint64_t> frames_lost_{0};
+  uint64_t frames_routed_ = 0;
+  uint64_t frames_dropped_ = 0;
+  uint64_t frames_lost_ = 0;
 };
 
 }  // namespace casc

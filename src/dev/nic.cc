@@ -9,9 +9,6 @@ Nic::Nic(Simulation& sim, MemorySystem& mem, const NicConfig& config, IrqSink* i
     : sim_(sim),
       mem_(mem),
       config_(config),
-      home_shard_(sim.num_shards() != 0 && config.home_core < sim.num_shards() ? config.home_core
-                                                                               : 0),
-      eq_(&sim.QueueFor(home_shard_)),
       irq_sink_(irq_sink),
       rx_event_([this] { DeliverRx(); }),
       tx_event_([this] { CompleteTx(); }) {
@@ -66,7 +63,7 @@ void Nic::InjectFrameToQueue(uint32_t queue, std::vector<uint8_t> frame) {
   }
   rx_queues_[queue].pending.push_back(std::move(frame));
   if (!rx_event_.scheduled()) {
-    eq_->ScheduleAfter(&rx_event_, config_.rx_dma_latency);
+    sim_.queue().ScheduleAfter(&rx_event_, config_.rx_dma_latency);
   }
 }
 
@@ -176,7 +173,7 @@ void Nic::MmioWrite(Addr offset, size_t, uint64_t value) {
     rx_queues_[q].head = v;
     // Freed buffers may unblock queued frames.
     if (!rx_queues_[q].pending.empty() && !rx_event_.scheduled()) {
-      eq_->ScheduleAfter(&rx_event_, 1);
+      sim_.queue().ScheduleAfter(&rx_event_, 1);
     }
   };
   if (offset >= kNicRegSpan) {
@@ -228,7 +225,7 @@ void Nic::MmioWrite(Addr offset, size_t, uint64_t value) {
     case kNicTxDoorbell:
       tx_doorbell_ = value;
       if (!tx_event_.scheduled()) {
-        eq_->ScheduleAfter(&tx_event_, config_.tx_latency);
+        sim_.queue().ScheduleAfter(&tx_event_, config_.tx_latency);
       }
       break;
     case kNicIrqEnable:

@@ -31,10 +31,9 @@ struct NicConfig {
   uint32_t irq_vector = 0x30;
   uint32_t max_frame_bytes = 2048;
   uint32_t num_rx_queues = 1;
-  // Host-parallel placement (DESIGN.md §4i): the shard that owns this NIC's
-  // ring state and delivery events. On a sharded machine the NIC's MMIO
-  // registers must be programmed from this core; frames from other shards
-  // arrive through the cross-shard mailbox. Ignored on legacy machines.
+  // Accepted and ignored: the simulator has one event queue, so a NIC has no
+  // home core. Kept only because the request benchmark still sets it; the
+  // next benchmark change removes it.
   CoreId home_core = 0;
 };
 
@@ -100,10 +99,6 @@ class Nic : public MmioDevice {
   void MmioWrite(Addr offset, size_t len, uint64_t value) override;
 
   const NicConfig& config() const { return config_; }
-  // The shard owning this NIC (0 on legacy machines) and its event queue;
-  // the fabric targets these when delivering frames across shards.
-  uint32_t home_shard() const { return home_shard_; }
-  EventQueue& home_queue() { return *eq_; }
   uint64_t rx_frames() const { return rx_frames_; }
   uint64_t rx_dropped() const { return rx_dropped_; }
   uint64_t tx_frames() const { return tx_frames_; }
@@ -132,8 +127,6 @@ class Nic : public MmioDevice {
   Simulation& sim_;
   MemorySystem& mem_;
   NicConfig config_;
-  uint32_t home_shard_;
-  EventQueue* eq_;  // the home shard's queue, bound once at construction
   IrqSink* irq_sink_;
   TxHandler tx_handler_;
   RxObserver rx_observer_;

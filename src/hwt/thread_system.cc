@@ -1,7 +1,6 @@
 #include "src/hwt/thread_system.h"
 
 #include <cassert>
-#include <limits>
 
 #include "src/sim/log.h"
 
@@ -41,7 +40,6 @@ ThreadSystem::ThreadSystem(Simulation& sim, MemorySystem& mem, const HwtConfig& 
       num_cores_(num_cores),
       queues_(num_cores),
       wake_hooks_(num_cores),
-      router_(sim.router()),
       stat_starts_(sim.stats().Intern("hwt.starts")),
       stat_stops_(sim.stats().Intern("hwt.stops")),
       stat_exceptions_(sim.stats().Intern("hwt.exceptions")),
@@ -67,7 +65,7 @@ ThreadSystem::ThreadSystem(Simulation& sim, MemorySystem& mem, const HwtConfig& 
     stores_[core]->AdmitThread(*threads_.back());
     vtid_caches_.emplace_back(config_.vtid_cache_entries);
   }
-  mem_.SetMonitorWakeHandler([this](Ptid ptid, Addr) { OnMonitorWake(ptid); });
+  mem_.monitors().SetWakeHandler([this](Ptid ptid, Addr) { OnMonitorWake(ptid); });
 }
 
 void ThreadSystem::InitThread(Ptid ptid, Addr pc, bool supervisor, Addr edp, Addr tdtr,
@@ -86,12 +84,6 @@ void ThreadSystem::NotifyWake(CoreId core) {
   }
 }
 
-Tick ThreadSystem::PostTick(Tick delay) const {
-  const Tick now = sim_.now();
-  return delay > std::numeric_limits<Tick>::max() - now ? std::numeric_limits<Tick>::max()
-                                                        : now + delay;
-}
-
 void ThreadSystem::Halt(const std::string& reason) {
   HaltInfo info = halt_info_;
   if (info.reason == HaltReason::kNone) {
@@ -104,44 +96,10 @@ void ThreadSystem::HaltWith(const HaltInfo& info, const std::string& reason) {
   if (halted()) {
     return;
   }
-  if (ShardedExecuting()) {
-    // Inside a parallel window: stage a proposal in this shard's slot (which
-    // stops this shard via halted()) and let MergeHaltProposals pick the
-    // globally-earliest halt at the barrier.
-    ShardLocal& slot = shard_local_[shard::tls_index];
-    slot.halt_proposed = true;
-    slot.halt_tick = sim_.now();
-    slot.halt_info = info;
-    slot.halt_reason = reason;
-    return;
-  }
   halted_ = true;
   halt_info_ = info;
   halt_reason_ = reason;
   CASC_LOG(Debug) << "machine halt: " << reason;
-}
-
-void ThreadSystem::MergeHaltProposals() {
-  const uint32_t n = sim_.num_shards() != 0 ? sim_.num_shards() : 1;
-  int best = -1;
-  for (uint32_t s = 0; s < n; s++) {
-    ShardLocal& slot = shard_local_[s];
-    if (!slot.halt_proposed) {
-      continue;
-    }
-    if (best < 0 || slot.halt_tick < shard_local_[best].halt_tick) {
-      best = static_cast<int>(s);
-    }
-  }
-  if (best >= 0 && !halted_) {
-    halted_ = true;
-    halt_info_ = shard_local_[best].halt_info;
-    halt_reason_ = shard_local_[best].halt_reason;
-    CASC_LOG(Debug) << "machine halt: " << halt_reason_;
-  }
-  for (uint32_t s = 0; s < n; s++) {
-    shard_local_[s].halt_proposed = false;
-  }
 }
 
 Translation ThreadSystem::Translate(Ptid issuer, Vtid vtid, Tick* latency) {
@@ -229,9 +187,7 @@ OpResult ThreadSystem::Start(Ptid issuer, Vtid vtid) {
   result.latency = tlat + config_.start_issue_cycles;
   stat_starts_++;
   HwThread& target = thread(t.ptid);
-  // Cross-shard the target's state belongs to another shard mid-window, so
-  // the already-running no-op check moves to the MakeRunnable replayed there.
-  if (!CrossShardTarget(target.core()) && target.state() == ThreadState::kRunnable) {
+  if (target.state() == ThreadState::kRunnable) {
     return result;  // already running: no-op
   }
   const bool remote = target.core() != thread(issuer).core();
@@ -254,12 +210,7 @@ OpResult ThreadSystem::Stop(Ptid issuer, Vtid vtid) {
   }
   result.latency = tlat + config_.stop_issue_cycles;
   stat_stops_++;
-  if (CrossShardTarget(CoreOf(t.ptid))) {
-    router_->Post(CoreOf(t.ptid), PostTick(router_->hop()),
-                  [this, p = t.ptid] { Disable(p); });
-  } else {
-    Disable(t.ptid);
-  }
+  Disable(t.ptid);
   if (chb_ != nullptr) {
     chb_->OnThreadStop(issuer, t.ptid);
   }
@@ -297,11 +248,6 @@ OpResult ThreadSystem::Rpull(Ptid issuer, Vtid vtid, uint32_t remote_reg) {
   }
   result.latency = tlat + 3;
   HwThread& target = thread(t.ptid);
-  // rpull/rpush touch the target's registers directly even cross-shard: §3.1
-  // requires the target to be *disabled*, and a ptid disabled at the last
-  // barrier stays disabled until its own shard restarts it, so the registers
-  // are stable for the whole window (the "stably disabled" contract; racing
-  // a same-window restart is a program-level race casc-race reports).
   if (target.state() != ThreadState::kDisabled) {
     result.ok = false;
     RaiseException(issuer, ExceptionType::kTargetNotDisabled, 0, vtid);
@@ -388,20 +334,6 @@ OpResult ThreadSystem::Invtid(Ptid issuer, Vtid vtid, Vtid remote_vtid) {
     return result;
   }
   result.latency = tlat + 2;
-  if (CrossShardTarget(CoreOf(t.ptid))) {
-    // The target's translation cache lives on its core's shard; the
-    // invalidation rides the interconnect like any other cross-core signal.
-    router_->Post(CoreOf(t.ptid), PostTick(router_->hop()),
-                  [this, p = t.ptid, remote_vtid] {
-                    VtidCache& cache = vtid_caches_[p];
-                    if (remote_vtid == kInvalidVtid) {
-                      cache.InvalidateAll();
-                    } else {
-                      cache.Invalidate(remote_vtid);
-                    }
-                  });
-    return result;
-  }
   VtidCache& cache = vtid_caches_[t.ptid];
   if (remote_vtid == kInvalidVtid) {
     cache.InvalidateAll();
@@ -547,16 +479,6 @@ OpResult ThreadSystem::WriteCsr(Ptid issuer, Csr csr, uint64_t value) {
 
 void ThreadSystem::RaiseExceptionAt(Ptid ptid, ExceptionType type, Addr addr, uint64_t errcode,
                                     uint32_t depth) {
-  if (CrossShardTarget(CoreOf(ptid))) {
-    // The raise disables the target and snapshots its registers into the
-    // descriptor — all state owned by the target's shard. Replay the whole
-    // raise there after the interconnect hop.
-    router_->Post(CoreOf(ptid), PostTick(router_->hop()),
-                  [this, ptid, type, addr, errcode, depth] {
-                    RaiseExceptionAt(ptid, type, addr, errcode, depth);
-                  });
-    return;
-  }
   stat_exceptions_++;
   const uint32_t type_idx = static_cast<uint32_t>(type);
   stat_exception_by_type_[type_idx < kNumExceptionTypes ? type_idx : 0]++;
@@ -586,12 +508,7 @@ void ThreadSystem::RaiseExceptionAt(Ptid ptid, ExceptionType type, Addr addr, ui
   d.addr = addr;
   d.errcode = errcode;
   d.tick = sim_.now() + config_.exception_write_cycles;
-  // Sequence numbers must be unique and deterministic. Sharded, each shard
-  // stamps its own counter into a disjoint residue class mod kMaxShards;
-  // legacy keeps the historical dense numbering.
-  d.seq = router_ != nullptr
-              ? (++shard_local_[shard::tls_index].eseq) * shard::kMaxShards + shard::tls_index
-              : ++exception_seq_;
+  d.seq = ++exception_seq_;
   // The descriptor write is what wakes the handler thread monitoring the EDP
   // line; schedule it after the hardware formatting delay.
   sim_.queue().ScheduleFnAfter(config_.exception_write_cycles, [this, d, edp, depth] {
@@ -620,10 +537,7 @@ void ThreadSystem::DeliverOrEscalate(const ExceptionDescriptor& d, Addr edp, uin
   // graph runs out of watchers after at most num_threads() steps.
   stat_escalations_++;
   Ptid handler = 0;
-  // The escalation walk must see every watcher whichever core armed it, so
-  // it scans all shards' filters; a cross-shard handler takes the fault via
-  // the routed RaiseExceptionAt.
-  if (mem_.FirstWatcherOfAll(edp, &handler)) {
+  if (mem_.monitors().FirstWatcherOf(edp, &handler)) {
     RaiseExceptionAt(handler, ExceptionType::kPageFault, edp, d.ptid, depth + 1);
     return;
   }
@@ -639,18 +553,6 @@ void ThreadSystem::DeliverOrEscalate(const ExceptionDescriptor& d, Addr edp, uin
 
 void ThreadSystem::MakeRunnable(Ptid ptid, Tick extra_delay, TraceCause cause) {
   HwThread& t = thread(ptid);
-  if (CrossShardTarget(t.core())) {
-    // Deliver the wake to the target's shard as a timestamped message. The
-    // cross-core delay (at least one interconnect hop — exactly
-    // remote_start_cycles in the default config) is absorbed into the
-    // message timestamp, so the replayed wake runs MakeRunnable(ptid, 0) and
-    // ready_at lands on the same tick the legacy path computes.
-    const Tick hop = router_->hop();
-    const Tick delay = extra_delay > hop ? extra_delay : hop;
-    router_->Post(t.core(), PostTick(delay),
-                  [this, ptid, cause] { MakeRunnable(ptid, 0, cause); });
-    return;
-  }
   if (t.state() == ThreadState::kRunnable) {
     return;
   }
@@ -727,15 +629,6 @@ void ThreadSystem::Disable(Ptid ptid, TraceCause cause) {
   if (chb_ != nullptr) {
     chb_->OnThreadDisabled(ptid);
   }
-}
-
-void ThreadSystem::HostStop(Ptid ptid, TraceCause cause) {
-  if (CrossShardTarget(CoreOf(ptid))) {
-    router_->Post(CoreOf(ptid), PostTick(router_->hop()),
-                  [this, ptid, cause] { Disable(ptid, cause); });
-    return;
-  }
-  Disable(ptid, cause);
 }
 
 void ThreadSystem::OnMonitorWake(Ptid ptid) {

@@ -22,7 +22,6 @@
 #include "src/hwt/tracer.h"
 #include "src/hwt/tdt.h"
 #include "src/mem/memory_system.h"
-#include "src/sim/shard.h"
 #include "src/sim/simulation.h"
 
 namespace casc {
@@ -88,15 +87,8 @@ class ThreadSystem {
   void MakeRunnable(Ptid ptid, Tick extra_delay = 0, TraceCause cause = TraceCause::kStart);
   void Disable(Ptid ptid, TraceCause cause = TraceCause::kStop);
 
-  // Optional state-transition observer (not owned; nullptr disables). On a
-  // sharded machine the tracer is switched to per-shard buffers here, before
-  // it can see its first event.
-  void SetTracer(ThreadTracer* tracer) {
-    tracer_ = tracer;
-    if (tracer_ != nullptr && sim_.num_shards() != 0) {
-      tracer_->EnableSharding(sim_.num_shards());
-    }
-  }
+  // Optional state-transition observer (not owned; nullptr disables).
+  void SetTracer(ThreadTracer* tracer) { tracer_ = tracer; }
 
   // Optional happens-before event observer for the dynamic race detector
   // (not owned; nullptr disables — the default, zero-cost configuration).
@@ -136,11 +128,6 @@ class ThreadSystem {
     remote_start_observer_ = std::move(fn);
   }
 
-  // Host-side stop that respects shard routing: when the target's core lives
-  // on another shard mid-window, the disable is posted through the mailbox
-  // (like Stop's cross-shard path) instead of touching remote state directly.
-  void HostStop(Ptid ptid, TraceCause cause = TraceCause::kStop);
-
   // Called by the core when it picks a thread that still needs its state
   // restored (prefetch-on-wake disabled). Sets ready_at; the thread will not
   // issue until the restore completes.
@@ -156,24 +143,13 @@ class ThreadSystem {
   const VtidCache& vtid_cache(Ptid ptid) const { return vtid_caches_[ptid]; }
 
   // ---- Machine halt (triple-fault analog, §3.2) ---------------------------
-  // In sharded execution a halt raised inside a window is first *proposed* in
-  // the raising shard's slot (stopping that shard immediately) and committed
-  // globally at the next barrier by MergeHaltProposals(), so the winning halt
-  // is the earliest-tick proposal regardless of host-thread interleaving.
-  bool halted() const {
-    return halted_ || (router_ != nullptr && shard_local_[shard::tls_index].halt_proposed);
-  }
+  bool halted() const { return halted_; }
   const std::string& halt_reason() const { return halt_reason_; }
   // Structured reason; halt_reason() stays the human-readable string (and
   // the differential-fuzz oracle compares those strings, so their format is
   // load-bearing).
   const HaltInfo& halt_info() const { return halt_info_; }
   void Halt(const std::string& reason);
-
-  // Barrier hook (sharded mode): commits the earliest-tick halt proposal
-  // (ties broken by lowest shard id) to the global halt state and clears all
-  // proposals. Runs serially on the host control thread.
-  void MergeHaltProposals();
 
   // Convenience for runtime/tests: initialize a thread's state in place.
   void InitThread(Ptid ptid, Addr pc, bool supervisor, Addr edp = 0, Addr tdtr = 0,
@@ -192,14 +168,6 @@ class ThreadSystem {
   void DeliverOrEscalate(const ExceptionDescriptor& d, Addr edp, uint32_t depth);
   void HaltWith(const HaltInfo& info, const std::string& reason);
   void MaybePoisonRestore(Ptid ptid, Tick restore);
-
-  // True while a parallel window is executing on a sharded machine.
-  bool ShardedExecuting() const { return router_ != nullptr && router_->Executing(); }
-  // True when an op issued by the current shard must reach core `c` through
-  // the cross-shard mailbox instead of touching its state directly.
-  bool CrossShardTarget(CoreId c) const { return ShardedExecuting() && c != shard::tls_index; }
-  // now() + delay with tick-overflow saturation (cross-shard effect time).
-  Tick PostTick(Tick delay) const;
 
   Simulation& sim_;
   MemorySystem& mem_;
@@ -223,20 +191,6 @@ class ThreadSystem {
   std::string halt_reason_;
   HaltInfo halt_info_;
   uint64_t exception_seq_ = 0;
-
-  // Sharded-mode state. `router_` is the engine's mailbox (null in legacy
-  // mode). Each shard gets a padded slot holding its exception-sequence
-  // counter and pending halt proposal, so parallel windows never contend on
-  // a shared line.
-  ShardRouter* router_ = nullptr;
-  struct alignas(64) ShardLocal {
-    uint64_t eseq = 0;
-    bool halt_proposed = false;
-    Tick halt_tick = 0;
-    HaltInfo halt_info;
-    std::string halt_reason;
-  };
-  ShardLocal shard_local_[shard::kMaxShards];
 
   StatsRegistry::CounterHandle stat_starts_;
   StatsRegistry::CounterHandle stat_stops_;

@@ -5,14 +5,11 @@
 #ifndef SRC_HWT_TRACER_H_
 #define SRC_HWT_TRACER_H_
 
-#include <algorithm>
-#include <cassert>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "src/hwt/hw_thread.h"
-#include "src/sim/shard.h"
 #include "src/sim/types.h"
 
 namespace casc {
@@ -37,30 +34,7 @@ class ThreadTracer {
     TraceCause cause;
   };
 
-  // Host-parallel mode (DESIGN.md §4i): gives each shard a private buffer so
-  // Record never races across concurrent windows. Readers (events(), marks(),
-  // the dumpers) see one merged view ordered by (tick, shard) — a pure
-  // function of simulated behavior, independent of host-thread count. The
-  // event cap applies per shard. Call before any event is recorded.
-  void EnableSharding(uint32_t n) {
-    assert(n >= 1 && n <= shard::kMaxShards);
-    if (shards_.size() == n) {
-      return;  // idempotent: re-installing a tracer must not drop its buffers
-    }
-    assert(events_.empty() && marks_.empty());
-    shards_.resize(n);
-  }
-
   void Record(Tick tick, Ptid ptid, ThreadState from, ThreadState to, TraceCause cause) {
-    if (!shards_.empty()) {
-      ShardBuf& b = shards_[shard::tls_index];
-      if (b.events.size() < max_events_) {
-        b.events.push_back({tick, ptid, from, to, cause});
-      } else {
-        b.dropped++;
-      }
-      return;
-    }
     if (events_.size() < max_events_) {
       events_.push_back({tick, ptid, from, to, cause});
     } else {
@@ -80,15 +54,6 @@ class ThreadTracer {
   };
 
   void RecordMark(Tick tick, Ptid ptid, std::string label) {
-    if (!shards_.empty()) {
-      ShardBuf& b = shards_[shard::tls_index];
-      if (b.events.size() + b.marks.size() < max_events_) {
-        b.marks.push_back({tick, ptid, std::move(label)});
-      } else {
-        b.dropped++;
-      }
-      return;
-    }
     if (events_.size() + marks_.size() < max_events_) {
       marks_.push_back({tick, ptid, std::move(label)});
     } else {
@@ -96,31 +61,14 @@ class ThreadTracer {
     }
   }
 
-  const std::vector<Event>& events() const {
-    MergeIfNeeded();
-    return events_;
-  }
-  const std::vector<Mark>& marks() const {
-    MergeIfNeeded();
-    return marks_;
-  }
+  const std::vector<Event>& events() const { return events_; }
+  const std::vector<Mark>& marks() const { return marks_; }
   // Events discarded because the buffer reached max_events().
-  uint64_t dropped() const {
-    uint64_t total = dropped_;
-    for (const ShardBuf& b : shards_) {
-      total += b.dropped;
-    }
-    return total;
-  }
+  uint64_t dropped() const { return dropped_; }
   void Clear() {
     events_.clear();
     marks_.clear();
     dropped_ = 0;
-    for (ShardBuf& b : shards_) {
-      b.events.clear();
-      b.marks.clear();
-      b.dropped = 0;
-    }
   }
   void set_max_events(size_t n) { max_events_ = n; }
   size_t max_events() const { return max_events_; }
@@ -148,45 +96,8 @@ class ThreadTracer {
   void DumpChromeTrace(std::ostream& os, double ghz = 3.0) const;
 
  private:
-  struct alignas(64) ShardBuf {
-    std::vector<Event> events;
-    std::vector<Mark> marks;
-    uint64_t dropped = 0;
-  };
-
-  // Rebuilds the merged view when per-shard buffers grew since the last
-  // read. Serial-phase only (readers never overlap a parallel window).
-  // Concatenation order is shard order and each buffer is chronological, so
-  // the stable sort yields (tick, shard, record order) — deterministic.
-  void MergeIfNeeded() const {
-    if (shards_.empty()) {
-      return;
-    }
-    size_t total_events = 0;
-    size_t total_marks = 0;
-    for (const ShardBuf& b : shards_) {
-      total_events += b.events.size();
-      total_marks += b.marks.size();
-    }
-    if (total_events == events_.size() && total_marks == marks_.size()) {
-      return;
-    }
-    events_.clear();
-    marks_.clear();
-    for (const ShardBuf& b : shards_) {
-      events_.insert(events_.end(), b.events.begin(), b.events.end());
-      marks_.insert(marks_.end(), b.marks.begin(), b.marks.end());
-    }
-    std::stable_sort(events_.begin(), events_.end(),
-                     [](const Event& a, const Event& b) { return a.tick < b.tick; });
-    std::stable_sort(marks_.begin(), marks_.end(),
-                     [](const Mark& a, const Mark& b) { return a.tick < b.tick; });
-  }
-
-  // Legacy buffers double as the merged view in sharded mode.
-  mutable std::vector<Event> events_;
-  mutable std::vector<Mark> marks_;
-  std::vector<ShardBuf> shards_;
+  std::vector<Event> events_;
+  std::vector<Mark> marks_;
   size_t max_events_ = 1 << 20;
   uint64_t dropped_ = 0;
 };

@@ -20,8 +20,7 @@ Addr LastLineClamped(Addr addr, size_t len) {
 }  // namespace
 
 MemorySystem::MemorySystem(Simulation& sim, const MemConfig& config, uint32_t num_cores)
-    : sim_(sim),
-      config_(config),
+    : config_(config),
       monitors_(config.monitor, sim.stats()),
       stat_reads_(sim.stats().Intern("mem.reads")),
       stat_writes_(sim.stats().Intern("mem.writes")),
@@ -37,121 +36,6 @@ MemorySystem::MemorySystem(Simulation& sim, const MemConfig& config, uint32_t nu
     core_caches_.push_back(std::move(cc));
   }
   l3_ = std::make_unique<Cache>(config_.l3);
-  for (CoreCaches& cc : core_caches_) {
-    cc.l3p = l3_.get();
-  }
-  for (uint32_t s = 0; s < shard::kMaxShards; s++) {
-    filters_[s] = &monitors_;
-  }
-}
-
-void MemorySystem::EnableSharding(ShardRouter* router) {
-  assert(router != nullptr);
-  assert(sim_.num_shards() == num_cores());
-  router_ = router;
-  num_shards_ = num_cores();
-  // Core 0 keeps the legacy L3 and monitor filter; every other shard gets a
-  // private slice/replica. The per-shard filters intern the same stat names
-  // — the sharded registry folds their counts together on the read side.
-  for (uint32_t s = 1; s < num_shards_; s++) {
-    l3_slices_.push_back(std::make_unique<Cache>(config_.l3));
-    core_caches_[s].l3p = l3_slices_.back().get();
-    extra_filters_.push_back(std::make_unique<MonitorFilter>(config_.monitor, sim_.stats()));
-    filters_[s] = extra_filters_.back().get();
-  }
-  write_logs_ = std::make_unique<ShardWriteLog[]>(num_shards_);
-}
-
-void MemorySystem::SetMonitorWakeHandler(MonitorFilter::WakeHandler handler) {
-  monitors_.SetWakeHandler(handler);
-  for (auto& f : extra_filters_) {
-    f->SetWakeHandler(handler);
-  }
-}
-
-bool MemorySystem::FirstWatcherOfAll(Addr addr, Ptid* out) const {
-  bool found = false;
-  Ptid best = 0;
-  const uint32_t n = num_shards_ == 0 ? 1 : num_shards_;
-  for (uint32_t s = 0; s < n; s++) {
-    Ptid p;
-    if (filters_[s]->FirstWatcherOf(addr, &p) && (!found || p < best)) {
-      found = true;
-      best = p;
-    }
-  }
-  if (found) {
-    *out = best;
-  }
-  return found;
-}
-
-void MemorySystem::LogWrittenLine(Addr line) {
-  ShardWriteLog& log = write_logs_[shard::tls_index];
-  const uint32_t bit = BloomBit(line);
-  uint64_t& word = log.bloom[bit >> 6];
-  const uint64_t mask = 1ull << (bit & 63);
-  if ((word & mask) != 0) {
-    // Possible duplicate; confirm exactly so a bloom collision can never
-    // drop a genuinely new line.
-    for (Addr seen : log.lines) {
-      if (seen == line) {
-        return;
-      }
-    }
-  }
-  word |= mask;
-  log.lines.push_back(line);
-  log.first_tick.push_back(sim_.now());
-}
-
-void MemorySystem::LogWrittenRange(Addr addr, size_t len) {
-  const Addr last = LastLineClamped(addr, len);
-  for (Addr line = LineBase(addr);; line += kLineSize) {
-    LogWrittenLine(line);
-    if (line == last) {
-      break;
-    }
-  }
-}
-
-void MemorySystem::FlushWindow() {
-  for (uint32_t s = 0; s < num_shards_; s++) {
-    ShardWriteLog& log = write_logs_[s];
-    for (size_t i = 0; i < log.lines.size(); i++) {
-      const Addr line = log.lines[i];
-      const Tick when = log.first_tick[i] + router_->hop();
-      for (uint32_t d = 0; d < num_shards_; d++) {
-        if (d == s) {
-          continue;
-        }
-        // Remote coherence, deferred from write time to the barrier: private
-        // caches, the remote L3 slice, and the remote core's predecode.
-        core_caches_[d].l1i->Invalidate(line);
-        core_caches_[d].l1d->Invalidate(line);
-        core_caches_[d].l2->Invalidate(line);
-        core_caches_[d].l3p->Invalidate(line);
-        for (const TaggedListener& listener : code_write_listeners_) {
-          if (listener.core == d) {
-            listener.fn(line);
-          }
-        }
-        // Monitor replay: if shard d may be watching this line, deliver the
-        // write to its filter at first-write-tick + hop. The replay runs in
-        // shard d's own context next round, so wakeups go through the normal
-        // local path. Arm-vs-store races inside one window resolve to "the
-        // store arrives after the arm" — the filter state consulted is the
-        // barrier-time (end of window) state.
-        if (filters_[d]->MaybeWatched(line)) {
-          MonitorFilter* filter = filters_[d];
-          router_->Post(d, when, [filter, line] { filter->OnWrite(line, 1); });
-        }
-      }
-      log.bloom[BloomBit(line) >> 6] &= ~(1ull << (BloomBit(line) & 63));
-    }
-    log.lines.clear();
-    log.first_tick.clear();
-  }
 }
 
 const MemorySystem::MmioRegion* MemorySystem::FindMmio(Addr addr) const {
@@ -171,23 +55,6 @@ void MemorySystem::RegisterMmio(Addr base, uint64_t size, MmioDevice* device) {
 
 void MemorySystem::InvalidateForWrite(Addr addr, size_t len, CoreId writer) {
   const Addr last = LastLineClamped(addr, len);
-  if (ShardedExecuting()) {
-    // Inside a parallel window only the writer's own shard state may be
-    // touched: log the lines and notify the writer's predecode; every remote
-    // core is invalidated at the barrier (FlushWindow).
-    for (Addr line = LineBase(addr);; line += kLineSize) {
-      LogWrittenLine(line);
-      for (const TaggedListener& listener : code_write_listeners_) {
-        if (listener.core == writer) {
-          listener.fn(line);
-        }
-      }
-      if (line == last) {
-        break;
-      }
-    }
-    return;
-  }
   for (Addr line = LineBase(addr);; line += kLineSize) {
     for (uint32_t c = 0; c < core_caches_.size(); c++) {
       if (c == writer) {
@@ -196,11 +63,6 @@ void MemorySystem::InvalidateForWrite(Addr addr, size_t len, CoreId writer) {
       core_caches_[c].l1i->Invalidate(line);
       core_caches_[c].l1d->Invalidate(line);
       core_caches_[c].l2->Invalidate(line);
-      if (num_shards_ != 0) {
-        // Host-phase write on a sharded machine: remote L3 slices must not
-        // keep a stale copy (legacy mode shares one L3, nothing to do).
-        core_caches_[c].l3p->Invalidate(line);
-      }
     }
     // Unlike the cache invalidation above, predecode invalidation includes
     // the writer: its own predecoded copy of the line is stale too.
@@ -246,11 +108,6 @@ Tick MemorySystem::Write(CoreId core, Addr addr, size_t len, uint64_t value) {
     mmio->device->MmioWrite(addr - mmio->base, len, value);
     // MMIO registers are monitorable too (§3.1: "one can monitor uncachable
     // addresses such as device memory or memory-mapped I/O registers").
-    // Same-shard watchers see the write synchronously; cross-shard watchers
-    // via the barrier replay.
-    if (ShardedExecuting()) {
-      LogWrittenRange(addr, len);
-    }
     monitors().OnWrite(addr, len);
     return config_.mmio_latency;
   }
@@ -295,34 +152,6 @@ void MemorySystem::DmaWrite(Addr addr, const void* data, size_t len) {
   stat_dma_writes_++;
   phys_.Write(addr, data, len);
   const Addr last = LastLineClamped(addr, len);
-  if (ShardedExecuting()) {
-    // The DMA lands in the shard issuing it (the device's home shard):
-    // invalidate and DDIO-allocate locally, notify the local predecode, and
-    // leave every remote core to the barrier flush.
-    const uint32_t s = shard::tls_index;
-    CoreCaches& cc = core_caches_[s];
-    for (Addr line = LineBase(addr);; line += kLineSize) {
-      LogWrittenLine(line);
-      cc.l1i->Invalidate(line);
-      cc.l1d->Invalidate(line);
-      cc.l2->Invalidate(line);
-      if (config_.dma_allocate_l3) {
-        cc.l3p->Access(line, /*is_write=*/true);
-      } else {
-        cc.l3p->Invalidate(line);
-      }
-      for (const TaggedListener& listener : code_write_listeners_) {
-        if (listener.core == s) {
-          listener.fn(line);
-        }
-      }
-      if (line == last) {
-        break;
-      }
-    }
-    monitors().OnWrite(addr, len);
-    return;
-  }
   // DMA invalidates every core's private lines; optionally allocates into the
   // shared L3 (DDIO-style) so the woken consumer hits on-chip.
   for (Addr line = LineBase(addr);; line += kLineSize) {
@@ -335,14 +164,6 @@ void MemorySystem::DmaWrite(Addr addr, const void* data, size_t len) {
       l3_->Access(line, /*is_write=*/true);
     } else {
       l3_->Invalidate(line);
-    }
-    // Host-phase DMA on a sharded machine also maintains the remote slices.
-    for (auto& slice : l3_slices_) {
-      if (config_.dma_allocate_l3) {
-        slice->Access(line, /*is_write=*/true);
-      } else {
-        slice->Invalidate(line);
-      }
     }
     for (const TaggedListener& listener : code_write_listeners_) {
       listener.fn(line);

@@ -6,7 +6,6 @@
 #ifndef SRC_MEM_MEMORY_SYSTEM_H_
 #define SRC_MEM_MEMORY_SYSTEM_H_
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -16,7 +15,6 @@
 #include "src/mem/cache.h"
 #include "src/mem/monitor_filter.h"
 #include "src/mem/phys_mem.h"
-#include "src/sim/shard.h"
 #include "src/sim/simulation.h"
 #include "src/sim/types.h"
 
@@ -49,29 +47,8 @@ class MemorySystem {
  public:
   MemorySystem(Simulation& sim, const MemConfig& config, uint32_t num_cores);
 
-  // Host-parallel mode (DESIGN.md §4i): one shard per core. Each shard gets
-  // a private L3 slice (core 0 keeps the legacy L3 object), a private
-  // MonitorFilter replica, and a per-window written-line log. Same-shard
-  // monitor semantics stay exact and synchronous; writes that may concern
-  // another shard are replayed against its filter at the window barrier
-  // (FlushWindow), arriving as a message at first-write-tick + hop. Must run
-  // before threads/cores are constructed.
-  void EnableSharding(ShardRouter* router);
-
-  // Serial barrier hook: remote cache/predecode invalidation and monitor
-  // replay for every line written in the closing window.
-  void FlushWindow();
-
   PhysicalMemory& phys() { return phys_; }
-  // The calling shard's monitor filter (the one legacy filter when sharding
-  // is off).
-  MonitorFilter& monitors() { return *filters_[shard::tls_index]; }
-  // Installs the mwait wake handler on every shard's filter.
-  void SetMonitorWakeHandler(MonitorFilter::WakeHandler handler);
-  // Lowest-numbered ptid watching the line containing `addr` across all
-  // shards' filters (the escalation walk must see every watcher, whichever
-  // core armed it).
-  bool FirstWatcherOfAll(Addr addr, Ptid* out) const;
+  MonitorFilter& monitors() { return monitors_; }
   const MemConfig& config() const { return config_; }
   uint32_t num_cores() const { return static_cast<uint32_t>(core_caches_.size()); }
 
@@ -118,8 +95,6 @@ class MemorySystem {
   Tick AtomicCas(CoreId core, Addr addr, uint64_t expected, uint64_t desired, uint64_t* old);
 
   // Timing-only probe used by bulk movers; does not touch functional state.
-  // `cc.l3p` is the shared L3 in legacy mode and the core's private L3 slice
-  // in sharded mode, so this path is branch-free either way.
   Tick AccessLatency(CoreId core, Addr addr, bool is_write, bool is_fetch) {
     assert(core < core_caches_.size());
     CoreCaches& cc = core_caches_[core];
@@ -132,8 +107,8 @@ class MemorySystem {
     if (cc.l2->Access(addr, is_write)) {
       return lat;
     }
-    lat += cc.l3p->config().hit_latency;
-    if (cc.l3p->Access(addr, is_write)) {
+    lat += l3_->config().hit_latency;
+    if (l3_->Access(addr, is_write)) {
       return lat;
     }
     return lat + config_.dram_latency;
@@ -215,9 +190,7 @@ class MemorySystem {
   // atomic, or DMA — not MMIO, which is never fetched). Each core registers
   // here (tagged with its id) to invalidate predecoded instructions; writes
   // that bypass the memory system (PhysicalMemory loads at program-load
-  // time) must invalidate explicitly. In sharded execution only the writing
-  // core's listener runs inline — remote cores are notified at the window
-  // barrier.
+  // time) must invalidate explicitly.
   using CodeWriteListener = std::function<void(Addr line)>;
   void AddCodeWriteListener(CoreId core, CodeWriteListener fn) {
     code_write_listeners_.push_back({core, std::move(fn)});
@@ -237,7 +210,6 @@ class MemorySystem {
     std::unique_ptr<Cache> l1i;
     std::unique_ptr<Cache> l1d;
     std::unique_ptr<Cache> l2;
-    Cache* l3p = nullptr;  // shared L3 (legacy) or this core's L3 slice
   };
   struct MmioRegion {
     Addr base;
@@ -248,27 +220,9 @@ class MemorySystem {
     CoreId core;
     CodeWriteListener fn;
   };
-  // Per-shard log of lines written during the current window, consumed by
-  // FlushWindow. Deduplicated via a small bloom-with-exact-confirm filter (a
-  // collision falls back to a scan — a line is never silently dropped).
-  struct alignas(64) ShardWriteLog {
-    std::vector<Addr> lines;
-    std::vector<Tick> first_tick;
-    std::array<uint64_t, 64> bloom{};  // 4096 bits over line hashes
-  };
-
   const MmioRegion* FindMmio(Addr addr) const;
   void InvalidateForWrite(Addr addr, size_t len, CoreId writer);
 
-  bool ShardedExecuting() const { return router_ != nullptr && router_->Executing(); }
-  static uint32_t BloomBit(Addr line) {
-    return static_cast<uint32_t>(((line >> 6) * 0x9E3779B97F4A7C15ull) >> 52);
-  }
-  // Records one written line in the calling shard's window log.
-  void LogWrittenLine(Addr line);
-  void LogWrittenRange(Addr addr, size_t len);
-
-  Simulation& sim_;
   MemConfig config_;
   PhysicalMemory phys_;
   MonitorFilter monitors_;
@@ -283,15 +237,6 @@ class MemorySystem {
   StatsRegistry::CounterHandle stat_fetches_;
   StatsRegistry::CounterHandle stat_dma_writes_;
   StatsRegistry::CounterHandle stat_dma_blocked_;
-
-  // Sharded-mode state (unused in legacy mode; filters_ defaults to the one
-  // legacy filter for every slot so monitors() is branch-free).
-  ShardRouter* router_ = nullptr;
-  uint32_t num_shards_ = 0;
-  std::vector<std::unique_ptr<Cache>> l3_slices_;
-  std::vector<std::unique_ptr<MonitorFilter>> extra_filters_;
-  MonitorFilter* filters_[shard::kMaxShards];
-  std::unique_ptr<ShardWriteLog[]> write_logs_;
 };
 
 }  // namespace casc

@@ -67,12 +67,6 @@ class MonitorFilter {
   // Reports a write of `len` bytes at `addr` from any source.
   void OnWrite(Addr addr, uint64_t len);
 
-  // Cheap may-be-watched probe over the summary filter (no false negatives;
-  // false positives possible). The cross-shard barrier replay uses it to
-  // decide whether a written line needs a message to this filter's shard —
-  // the exact per-line check happens inside the replayed OnWrite.
-  bool MaybeWatched(Addr line) const { return summary_[SummarySlot(line)] != 0; }
-
   size_t WatchedLineCount() const { return watchers_.size(); }
   // Ptids with per-thread filter state (watches or a pending flag). Rejected
   // watches must not grow this.

@@ -5,8 +5,7 @@
 namespace casc {
 
 PhysicalMemory::~PhysicalMemory() {
-  for (std::atomic<Node*>& head : buckets_) {
-    Node* n = head.load(std::memory_order_relaxed);
+  for (Node* n : buckets_) {
     while (n != nullptr) {
       Node* next = n->next;
       delete n;
@@ -17,35 +16,22 @@ PhysicalMemory::~PhysicalMemory() {
 
 PhysicalMemory::Page& PhysicalMemory::EnsurePage(Addr addr) {
   const Addr idx = addr >> kPageBits;
-  std::atomic<Node*>& head = buckets_[Bucket(idx)];
-  Node* fresh = nullptr;
-  for (;;) {
-    // Scan the current chain; a racing insert of the same page is resolved
-    // by whichever CAS wins — the loser rescans, finds the winner's node,
-    // and frees its own.
-    Node* top = head.load(std::memory_order_acquire);
-    for (Node* n = top; n != nullptr; n = n->next) {
-      if (n->idx == idx) {
-        delete fresh;
-        memo_[shard::tls_index].idx = idx;
-        memo_[shard::tls_index].page = &n->page;
-        return n->page;
-      }
-    }
-    if (fresh == nullptr) {
-      fresh = new Node();
-      fresh->idx = idx;
-      std::memset(fresh->page.bytes, 0, sizeof(fresh->page.bytes));
-    }
-    fresh->next = top;
-    if (head.compare_exchange_weak(top, fresh, std::memory_order_release,
-                                   std::memory_order_acquire)) {
-      page_count_.fetch_add(1, std::memory_order_relaxed);
-      memo_[shard::tls_index].idx = idx;
-      memo_[shard::tls_index].page = &fresh->page;
-      return fresh->page;
-    }
+  Node*& head = buckets_[Bucket(idx)];
+  Node* node = head;
+  while (node != nullptr && node->idx != idx) {
+    node = node->next;
   }
+  if (node == nullptr) {
+    node = new Node();
+    node->idx = idx;
+    std::memset(node->page.bytes, 0, sizeof(node->page.bytes));
+    node->next = head;
+    head = node;
+    page_count_++;
+  }
+  memo_idx_ = idx;
+  memo_page_ = &node->page;
+  return node->page;
 }
 
 void PhysicalMemory::Read(Addr addr, void* out, size_t len) const {

@@ -40,11 +40,10 @@ uint64_t KernelScheduler::Submit(Addr pc, uint64_t a0, uint64_t a1, uint64_t pri
 
 SyscallHandler KernelScheduler::SpawnHandler() {
   return [this](GuestContext& ctx, const SyscallRequest& req, uint64_t* ret) -> GuestTask {
-    // Shard-safety guard: this handler mutates host-side scheduler state
-    // (softs_/pending_/doorbell_seq_) from a ring-worker guest coroutine,
-    // which is only race-free under --host-threads sharding if that worker
-    // runs on the scheduler's core (same host shard). A cross-core install
-    // is refused — racing would corrupt the deques silently.
+    // On-core rule: this handler mutates the scheduler's own state
+    // (softs_/pending_/doorbell_seq_) from a ring-worker guest coroutine, so
+    // it belongs to the scheduler's core. A spawn served on another core is
+    // refused, which keeps every scheduler mutation on the core that owns it.
     if (machine_.threads().CoreOf(ctx.ptid()) != core_) {
       std::fprintf(stderr,
                    "KernelScheduler::SpawnHandler: refused spawn from core %u; the handler's "

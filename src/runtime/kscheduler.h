@@ -54,9 +54,8 @@ class KernelScheduler {
   // kSchedSpawn descriptors (a0 = pc, a1 = arg, a2 = prio; completion = soft
   // id) — the ring worker queues the spawn and rings the scheduler doorbell,
   // replacing the host-side Submit hop with an in-machine protocol. The
-  // on-core constraint is enforced: a handler executing on any other core
-  // (a host-level data race under --host-threads sharding) refuses the
-  // spawn and completes with kSchedSpawnRefused.
+  // on-core rule is part of the API: a handler executing on any other core
+  // refuses the spawn and completes with kSchedSpawnRefused.
   SyscallHandler SpawnHandler();
 
   // Binds and starts the scheduler hardware thread.

@@ -263,8 +263,6 @@ uint64_t EventQueue::RunWhile(Tick limit, const std::function<bool()>& pred) {
   while (pred() && NextTick() <= limit && RunOne()) {
     fired++;
   }
-  // The predicate may have clamped the advance limit mid-window; the saved
-  // outer limit is restored regardless so nesting behaves like RunUntil.
   advance_limit_ = saved_limit;
   return fired;
 }

@@ -154,20 +154,9 @@ class EventQueue {
 
   // Runs events with when <= limit while `pred()` stays true; returns the
   // number fired. Unlike RunUntil, now() is left at the last fired tick
-  // rather than bumped to `limit` — the sharded engine uses this to execute
-  // one synchronization window per shard without over-advancing shards that
-  // go quiet early.
+  // rather than bumped to `limit`, so a run that stops early (a machine
+  // halt in Machine::DrainBudget) reports the cycle it actually reached.
   uint64_t RunWhile(Tick limit, const std::function<bool()>& pred);
-
-  // Lowers the quiet-advance ceiling to min(current, t). The shard engine
-  // uses this to abort an in-progress AdvanceIfIdle chain when a cross-shard
-  // message is posted mid-window: the solo core's Cycle() loop breaks at its
-  // next quiet-advance check and control returns to the engine barrier.
-  void ClampAdvanceLimit(Tick t) {
-    if (t < advance_limit_) {
-      advance_limit_ = t;
-    }
-  }
 
  private:
   static constexpr uint64_t kWheelMask = kWheelTicks - 1;

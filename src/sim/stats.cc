@@ -1,6 +1,5 @@
 #include "src/sim/stats.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <iomanip>
@@ -44,26 +43,6 @@ void Histogram::Record(uint64_t value, uint64_t weight) {
   }
   if (value > max_) {
     max_ = value;
-  }
-}
-
-void Histogram::Merge(const Histogram& other) {
-  if (buckets_.size() < other.buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (size_t i = 0; i < other.buckets_.size(); i++) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
-  if (other.count_ > 0) {
-    if (other.min_ < min_) {
-      min_ = other.min_;
-    }
-    if (other.max_ > max_) {
-      max_ = other.max_;
-    }
   }
 }
 
@@ -132,87 +111,39 @@ std::vector<std::pair<uint64_t, uint64_t>> Histogram::NonEmptyBuckets() const {
   return out;
 }
 
-void StatsRegistry::EnableSharding(uint32_t n) {
-  assert(n >= 1 && n <= shard::kMaxShards);
-  assert(counters_.empty() && hists_.empty() && offsets_.empty() && sharded_hists_.empty());
-  num_shards_ = n;
-  for (uint32_t s = 0; s < n; s++) {
-    // Separate allocations per shard: no two shards' cells ever share a
-    // cache line, so parallel increments never false-share.
-    slab_storage_.push_back(std::make_unique<uint64_t[]>(kSlabCells));
-    std::fill_n(slab_storage_.back().get(), kSlabCells, 0);
-    slabs_[s] = slab_storage_.back().get();
-  }
-}
-
-std::map<std::string, uint64_t> StatsRegistry::CollectCounters() const {
-  if (num_shards_ == 0) {
-    return counters_;
-  }
-  std::map<std::string, uint64_t> out;
-  for (const auto& [name, off] : offsets_) {
-    out[name] = SumCounter(off);
-  }
-  return out;
-}
-
 uint64_t StatsRegistry::GetCounter(const std::string& name) const {
-  if (num_shards_ == 0) {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-  auto it = offsets_.find(name);
-  return it == offsets_.end() ? 0 : SumCounter(it->second);
+  auto it = counters_.find(name);
+  return it == counters_.end() ? 0 : it->second;
 }
 
 const Histogram* StatsRegistry::GetHist(const std::string& name) const {
-  if (num_shards_ == 0) {
-    auto it = hists_.find(name);
-    return it == hists_.end() ? nullptr : &it->second;
-  }
-  auto it = sharded_hists_.find(name);
-  return it == sharded_hists_.end() ? nullptr : &MergeHist(it->second);
+  auto it = hists_.find(name);
+  return it == hists_.end() ? nullptr : &it->second;
 }
 
 void StatsRegistry::Dump(std::ostream& os) const {
-  for (const auto& [name, value] : CollectCounters()) {
+  for (const auto& [name, value] : counters_) {
     os << name << " = " << value << "\n";
   }
-  const auto dump_hist = [&os](const std::string& name, const Histogram& hist) {
+  for (const auto& [name, hist] : hists_) {
     os << name << ": n=" << hist.count() << " mean=" << std::fixed << std::setprecision(1)
        << hist.mean() << " p50=" << hist.P50() << " p99=" << hist.P99() << " max=" << hist.max()
        << "\n";
-  };
-  for (const auto& [name, hist] : hists_) {
-    dump_hist(name, hist);
-  }
-  for (const auto& [name, cell] : sharded_hists_) {
-    dump_hist(name, MergeHist(cell));
   }
 }
 
 void StatsRegistry::DumpJson(std::ostream& os) const {
-  // One sorted view over both storage modes: legacy and sharded registries
-  // export byte-identical JSON for the same logical values.
-  std::map<std::string, const Histogram*> all_hists;
-  for (const auto& [name, hist] : hists_) {
-    all_hists[name] = &hist;
-  }
-  for (const auto& [name, cell] : sharded_hists_) {
-    all_hists[name] = &MergeHist(cell);
-  }
   JsonWriter w(os);
   w.BeginObject();
   w.Key("counters");
   w.BeginObject();
-  for (const auto& [name, value] : CollectCounters()) {
+  for (const auto& [name, value] : counters_) {
     w.KeyValue(name, value);
   }
   w.EndObject();
   w.Key("histograms");
   w.BeginObject();
-  for (const auto& [name, hist_ptr] : all_hists) {
-    const Histogram& hist = *hist_ptr;
+  for (const auto& [name, hist] : hists_) {
     w.Key(name);
     w.BeginObject();
     w.KeyValue("count", hist.count());
@@ -248,14 +179,6 @@ void StatsRegistry::Reset() {
   }
   for (auto& [name, hist] : hists_) {
     hist.Reset();
-  }
-  for (uint32_t s = 0; s < num_shards_; s++) {
-    std::fill_n(slabs_[s], kSlabCells, 0);
-  }
-  for (auto& [name, cell] : sharded_hists_) {
-    for (Histogram& part : cell.per_shard) {
-      part.Reset();
-    }
   }
 }
 

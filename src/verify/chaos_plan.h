@@ -49,7 +49,7 @@ inline constexpr uint32_t kChaosMaskAll =
 
 // Derives a plan from (seed, mask): one spec per set mask bit, cadence and
 // budget drawn from a private RNG stream so the same seed always yields the
-// same campaign — across lattice points, host-thread counts, and re-runs.
+// same campaign — across lattice points and re-runs.
 ChaosPlan MakeChaosPlan(uint64_t seed, uint32_t fault_mask, Tick watchdog_ticks = 2'000'000);
 
 // Repro-header round trip. FormatChaosPlanHeader emits comment lines

@@ -216,11 +216,9 @@ void SimRun::ArmChaos(const ChaosPlan& plan) {
     constexpr uint64_t kServerNode = 2;
     NicConfig client_cfg;
     client_cfg.mmio_base = 0xf0000000;
-    client_cfg.home_core = 0;
     chaos_->client_nic = std::make_unique<Nic>(sim, machine_.mem(), client_cfg);
     NicConfig server_cfg;
     server_cfg.mmio_base = 0xf0100000;
-    server_cfg.home_core = machine_.num_cores() > 1 ? 1 : 0;
     chaos_->server_nic = std::make_unique<Nic>(sim, machine_.mem(), server_cfg);
     chaos_->fabric = std::make_unique<Fabric>(sim, FabricConfig{});
     chaos_->fabric->Attach(kClientNode, chaos_->client_nic.get());

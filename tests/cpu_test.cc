@@ -3,10 +3,13 @@
 // threading model underneath.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/cpu/machine.h"
 #include "src/hwt/exception.h"
+#include "src/hwt/tracer.h"
 
 namespace casc {
 namespace {
@@ -478,29 +481,150 @@ TEST(CpuTest, WakeLatencyReflectsStorageTier) {
 }
 
 TEST(CpuTest, StopFromAnotherThread) {
-  Machine m;
-  HcallLog log;
-  log.InstallOn(m);
-  const Ptid spinner = m.LoadSource(0, 1,
-                                    "loop:\n"
-                                    "  addi a0, a0, 1\n"
-                                    "  j loop\n",
-                                    true, "", 0, 0x2000);
-  const Ptid boss = m.LoadSource(0, 0,
-                                 "  li a1, 400\n"
-                                 "wait:\n"
-                                 "  addi a1, a1, -1\n"
-                                 "  bne a1, r0, wait\n"
-                                 "  li a2, 1\n"
-                                 "  stop a2\n"
-                                 "  halt\n",
-                                 true, "", 0, 0x1000);
-  m.Start(spinner);
-  m.Start(boss);
-  ASSERT_TRUE(m.RunToQuiescence());
-  EXPECT_EQ(m.threads().thread(spinner).state(), ThreadState::kDisabled);
-  // The spinner made progress but was stopped mid-loop.
-  EXPECT_GT(m.threads().thread(spinner).ReadGpr(10), 0u);
+  // The stopper and the spinner share core 0, or the spinner sits on core 1
+  // and the stop crosses cores.
+  for (CoreId spinner_core : {0u, 1u}) {
+    SCOPED_TRACE("spinner on core " + std::to_string(spinner_core));
+    MachineConfig cfg;
+    cfg.num_cores = spinner_core + 1;
+    Machine m(cfg);
+    const uint32_t spinner_local = spinner_core == 0 ? 1 : 0;
+    const Ptid spinner = m.LoadSource(spinner_core, spinner_local,
+                                      "loop:\n"
+                                      "  addi a0, a0, 1\n"
+                                      "  j loop\n",
+                                      true, "", 0, 0x2000);
+    const Ptid boss = m.LoadSource(0, 0,
+                                   "  li a1, 400\n"
+                                   "wait:\n"
+                                   "  addi a1, a1, -1\n"
+                                   "  bne a1, r0, wait\n"
+                                   "  li a2, " + std::to_string(spinner) + "\n"
+                                   "  stop a2\n"
+                                   "  halt\n",
+                                   true, "", 0, 0x1000);
+    m.Start(spinner);
+    m.Start(boss);
+    ASSERT_TRUE(m.RunToQuiescence());
+    EXPECT_EQ(m.threads().thread(spinner).state(), ThreadState::kDisabled);
+    // The spinner made progress but was stopped mid-loop.
+    EXPECT_GT(m.threads().thread(spinner).ReadGpr(10), 0u);
+  }
+}
+
+constexpr Addr TokenFlag(uint32_t c) { return 0x200000 + 0x100 * c; }
+constexpr Addr TokenSlot(uint32_t c) { return 0x300000 + 0x100 * c; }
+
+// A 4-core token ring: worker 0 starts workers 1..3 through a booter
+// (guest-side cross-core starts), then each round passes a token around the
+// ring through per-core flag lines. Every flag line has exactly one writer
+// (the predecessor) and one monitoring reader (the owner), so each hop is a
+// store landing on a line another core's thread is waiting on.
+TEST(CpuTest, TokenRingAcrossFourCores) {
+  constexpr uint32_t kCores = 4;
+  constexpr uint64_t kRounds = 25;
+  struct Result {
+    bool quiesced = false;
+    Tick now = 0;
+    std::string stats_json;
+  };
+  auto run = [&](Machine& m, ThreadTracer& tracer) {
+    m.threads().SetTracer(&tracer);
+    std::vector<Ptid> workers(kCores);
+    for (uint32_t c = 0; c < kCores; c++) {
+      const uint32_t next = (c + 1) % kCores;
+      workers[c] = m.BindNative(
+          c, 0,
+          [c, next](GuestContext& ctx) -> GuestTask {
+            for (uint64_t k = 1; k <= kRounds; k++) {
+              if (c == 0) {
+                co_await ctx.Store(TokenFlag(1), k);  // send the token
+              }
+              for (;;) {
+                co_await ctx.Monitor(TokenFlag(c));
+                if (co_await ctx.Load(TokenFlag(c)) >= k) {
+                  break;
+                }
+                co_await ctx.Mwait();
+              }
+              co_await ctx.Compute(11 + c);
+              co_await ctx.Store(TokenSlot(c), k * 1000 + c);
+              if (c != 0) {
+                co_await ctx.Store(TokenFlag(next), k);
+              }
+            }
+            co_await ctx.StopSelf();
+          },
+          /*supervisor=*/true);
+    }
+    const Ptid booter = m.BindNative(
+        0, 1,
+        [&workers](GuestContext& ctx) -> GuestTask {
+          for (uint32_t c = 1; c < workers.size(); c++) {
+            co_await ctx.Start(workers[c]);
+          }
+          co_await ctx.StopSelf();
+        },
+        /*supervisor=*/true);
+    m.Start(booter);
+    m.Start(workers[0]);
+    Result r;
+    r.quiesced = m.RunToQuiescence();
+    r.now = m.sim().now();
+    std::ostringstream os;
+    m.sim().stats().DumpJson(os);
+    r.stats_json = os.str();
+    return r;
+  };
+  MachineConfig cfg;
+  cfg.num_cores = kCores;
+  cfg.hwt.threads_per_core = 4;
+  Machine m(cfg);
+  ThreadTracer tracer;
+  const Result a = run(m, tracer);
+  EXPECT_TRUE(a.quiesced);
+  EXPECT_FALSE(m.halted());
+  for (uint32_t c = 0; c < kCores; c++) {
+    EXPECT_EQ(m.mem().phys().Read64(TokenSlot(c)), kRounds * 1000 + c) << "core " << c;
+  }
+  // The trace of a multi-core run is one tick-ordered stream.
+  const std::vector<ThreadTracer::Event>& events = tracer.events();
+  ASSERT_FALSE(events.empty());
+  for (size_t i = 1; i < events.size(); i++) {
+    EXPECT_LE(events[i - 1].tick, events[i].tick);
+  }
+  Machine again(cfg);
+  ThreadTracer tracer2;
+  const Result b = run(again, tracer2);
+  EXPECT_EQ(a.now, b.now);
+  EXPECT_EQ(a.stats_json, b.stats_json);
+}
+
+// RunFor(x) returns with the clock at exactly x while every core is busy
+// (each core takes its ticks in place up to the limit), at any core count —
+// including more than 64 cores.
+TEST(CpuTest, RunForStopsAtExactlyItsLimit) {
+  for (uint32_t cores : {1u, 4u, 65u}) {
+    SCOPED_TRACE(std::to_string(cores) + " cores");
+    MachineConfig cfg;
+    cfg.num_cores = cores;
+    cfg.hwt.threads_per_core = 1;
+    Machine m(cfg);
+    for (uint32_t c = 0; c < cores; c++) {
+      m.Start(m.LoadSource(c, 0,
+                           "loop:\n"
+                           "  addi a0, a0, 1\n"
+                           "  j loop\n",
+                           true));
+    }
+    m.RunFor(12345);
+    EXPECT_EQ(m.sim().now(), 12345u);
+    m.RunFor(655);
+    EXPECT_EQ(m.sim().now(), 13000u);
+    for (uint32_t c = 0; c < cores; c++) {
+      EXPECT_GT(m.core(c).instructions_retired(), 0u) << "core " << c;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/cpu/machine.h"
 #include "src/dev/apic_timer.h"
@@ -263,6 +267,61 @@ TEST(IntegrationTest, RpcBacklogDrainsWhenOverloaded) {
   m.RunFor(2'000'000);
   EXPECT_EQ(node.served(), 12u);
   EXPECT_EQ(responses, 12u);
+}
+
+// MachineConfig::host_threads and NicConfig::home_core are accepted and
+// ignored (the simulator has one engine); the request benchmark still sets
+// them. A 4-node RPC fabric on a 4-core machine must give byte-identical
+// stats and response arrival ticks whatever values they carry.
+TEST(IntegrationTest, HostThreadsAndHomeCoreAreInert) {
+  constexpr uint32_t kNodes = 4;
+  constexpr uint64_t kClient = 99;
+  constexpr uint64_t kRequests = 24;
+  auto run = [&](uint32_t host_threads, bool spread_home_cores) {
+    MachineConfig cfg;
+    cfg.num_cores = kNodes;
+    cfg.host_threads = host_threads;
+    cfg.hwt.threads_per_core = 16;
+    Machine m(cfg);
+    Fabric fabric(m.sim(), FabricConfig{});
+    NicConfig ccfg;
+    ccfg.mmio_base = 0xf0f00000;
+    ccfg.home_core = spread_home_cores ? kNodes - 1 : 0;
+    Nic client_nic(m.sim(), m.mem(), ccfg);
+    fabric.Attach(kClient, &client_nic);
+    SetupNicRings(m.mem(), client_nic, 0x20000000);
+    uint64_t responses = 0;
+    std::string arrivals;  // the tick each response reaches the client
+    client_nic.SetRxObserver([&](const std::vector<uint8_t>&) {
+      arrivals += std::to_string(m.sim().now()) + " ";
+      m.mem().Write(0, ccfg.mmio_base + kNicRxHead, 8, ++responses);
+    });
+    std::vector<std::unique_ptr<Nic>> nics;
+    std::vector<std::unique_ptr<RpcNode>> nodes;
+    for (uint32_t n = 0; n < kNodes; n++) {
+      NicConfig ncfg;
+      ncfg.mmio_base = 0xf0000000 + static_cast<Addr>(n) * 0x100000;
+      ncfg.home_core = spread_home_cores ? n : 0;
+      nics.push_back(std::make_unique<Nic>(m.sim(), m.mem(), ncfg));
+      fabric.Attach(1 + n, nics.back().get());
+      nodes.push_back(std::make_unique<RpcNode>(m, n, 1 + n, nics.back().get(),
+                                                0x03000000 + static_cast<Addr>(n) * 0x01000000,
+                                                /*workers=*/4, RpcMode::kThreadPerRequest));
+      nodes.back()->Install();
+    }
+    m.RunFor(2000);
+    for (uint64_t i = 1; i <= kRequests; i++) {
+      fabric.InjectFrom(kClient, RpcFrame::Make(1 + i % kNodes, kClient, i, 500 + 100 * (i % 5)));
+      m.RunFor(300);
+    }
+    m.RunFor(200'000);
+    EXPECT_EQ(responses, kRequests);
+    std::ostringstream os;
+    m.sim().stats().DumpJson(os);
+    return os.str() + "arrivals: " + arrivals;
+  };
+  const std::string base = run(/*host_threads=*/0, /*spread_home_cores=*/false);
+  EXPECT_EQ(run(/*host_threads=*/4, /*spread_home_cores=*/true), base);
 }
 
 TEST(IntegrationTest, MsixLegacyDeviceWakesThread) {

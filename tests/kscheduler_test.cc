@@ -169,10 +169,9 @@ TEST_F(KschedulerTest, RingSpawnReplacesHostSubmitHop) {
 }
 
 TEST_F(KschedulerTest, SpawnHandlerRefusesCrossCoreInstall) {
-  // SpawnHandler mutates host-side scheduler state, which is shard-safe only
-  // when its RingServer runs on the scheduler's core. A ring installed on
-  // another core must get a clean refusal (kSchedSpawnRefused) instead of a
-  // host-level data race under --host-threads sharding.
+  // SpawnHandler mutates the scheduler's own state, so its RingServer must
+  // run on the scheduler's core (an API rule). A ring installed on another
+  // core must get a clean refusal (kSchedSpawnRefused).
   sched_->AddWorkerPool(0, 1, 4);
   sched_->Install();
   timer_->StartTimer();

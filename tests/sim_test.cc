@@ -360,9 +360,8 @@ TEST(EventQueueTest, ScheduleAfterSaturatesAtTickMax) {
 }
 
 TEST(EventQueueTest, AdvanceIfIdleNeverCrossesRunLimit) {
-  // The sharded engine runs each shard one synchronization window at a time;
-  // a core's quiet-advance must stop at the window edge or it would slide
-  // past the barrier and observe cross-shard effects early.
+  // RunFor(x) must hand control back at exactly x: a core's quiet-advance
+  // stops at the innermost run limit instead of sliding past it.
   EventQueue q;
   bool within = false;
   bool beyond = true;
@@ -394,22 +393,6 @@ TEST(EventQueueTest, AdvanceLimitRestoredAcrossNestedRuns) {
   EXPECT_TRUE(outer_ok);
   EXPECT_TRUE(outer_blocked);
   EXPECT_EQ(q.now(), 100u);
-}
-
-TEST(EventQueueTest, ClampAdvanceLimitBreaksQuietAdvanceChain) {
-  // Solo fast path abort: a cross-shard Post clamps the running shard's
-  // advance ceiling so its quiet-advance chain breaks at the next check
-  // instead of sailing past the message's effect tick.
-  EventQueue q;
-  bool after_clamp = true;
-  q.ScheduleFn(10, [&] {
-    EXPECT_TRUE(q.AdvanceIfIdle(20));
-    q.ClampAdvanceLimit(q.now());
-    after_clamp = q.AdvanceIfIdle(21);
-  });
-  q.RunWhile(1000, [] { return true; });
-  EXPECT_FALSE(after_clamp);
-  EXPECT_EQ(q.now(), 20u);  // RunWhile leaves now() where execution stopped
 }
 
 TEST(EventQueueTest, AdvanceIfIdleRunsUpToLaterLiveEvent) {
@@ -537,11 +520,10 @@ class SteppingActor final : public Event {
 
 TEST(EventQueueTest, WindowedExecutionMatchesMonolithicRun) {
   // Randomized differential: the same self-rescheduling event population run
-  // (a) in one RunAll and (b) chopped into fixed windows the way the shard
-  // engine drives each shard, with a stepping actor among the random events
-  // that (c) quiet-advances wherever the queue allows it instead of always
-  // scheduling. Firing order and every draw from the data-dependent Rng must
-  // be identical across all four runs.
+  // (a) in one RunAll and (b) chopped into fixed RunWhile windows, with a
+  // stepping actor among the random events that (c) quiet-advances wherever
+  // the queue allows it instead of always scheduling. Firing order and every
+  // draw from the data-dependent Rng must be identical across all four runs.
   constexpr Tick kWindow = 30;
   constexpr int kChains = 8;
   constexpr int kSteps = 200;
@@ -617,22 +599,6 @@ TEST(HistogramTest, QuantileBoundedRelativeError) {
                        static_cast<double>(exact);
     EXPECT_LT(rel, 0.07) << "q=" << q << " exact=" << exact << " est=" << est;
   }
-}
-
-TEST(HistogramTest, MergeMatchesCombinedRecording) {
-  Histogram a;
-  Histogram b;
-  Histogram both;
-  Rng rng(7);
-  for (int i = 0; i < 1000; i++) {
-    const uint64_t v = rng.NextRange(0, 5000);
-    ((i % 2 == 0) ? a : b).Record(v);
-    both.Record(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), both.count());
-  EXPECT_EQ(a.max(), both.max());
-  EXPECT_EQ(a.P99(), both.P99());
 }
 
 TEST(RngTest, DeterministicForSeed) {

@@ -138,12 +138,10 @@ void CheckBenchReport(const std::string& path, double interp_floor_minsts) {
              "simhost config \"" + config + "\" missing positive \"sim_insts_per_sec\"");
       }
     }
-    // The host-parallel scaling sweep (DESIGN.md §4i) and the interpreter row
-    // (§4j) must be present: a refactor that silently dropped the
-    // sharded-engine or interpreter rows would otherwise still pass the
+    // The 8-core row and the interpreter row (§4j) must be present: a
+    // refactor that silently dropped either would otherwise still pass the
     // per-config checks above.
-    for (const char* required :
-         {"multicore8_ht1", "multicore8_ht2", "multicore8_ht4", "multicore8_ht8", "interp"}) {
+    for (const char* required : {"multicore8", "interp"}) {
       if (host_ms_ok.find(required) == host_ms_ok.end()) {
         Fail(path, "simhost sweep missing required config \"" + std::string(required) + "\"");
       }

@@ -3,8 +3,8 @@
 //
 //   casc-chaos [--scenario=all|single-core|cross-core|<class>] [--seed=N]
 //              [--faults=N] [--duration=N] [--at=T | --every=N | --prob=P]
-//              [--expect-halt] [--host-threads=N] [--stats-json=<path>]
-//              [--trace-json=<path>] [--list] [--help]
+//              [--expect-halt] [--stats-json=<path>] [--trace-json=<path>]
+//              [--list] [--help]
 //
 // Scenarios (one per fault class; `--list` prints them):
 //   nic-dma-bad-addr    RX payload DMA lands in an unwritable hole
@@ -18,13 +18,7 @@
 //   remote-start-race   a cross-core start collides with a revoking stop
 //
 // Every run is bit-reproducible: the same --seed yields byte-identical
-// --stats-json output per engine. The single-core group is additionally
-// byte-identical across every --host-threads value; the cross-core group
-// (two-core machines) is byte-identical across all sharded engines
-// (--host-threads >= 1) but legitimately differs at --host-threads 0, where
-// cross-core operations take direct paths instead of mailbox hops
-// (the flag runs each scenario's machine on the host-parallel sharded
-// engine, DESIGN.md §4i; 0 = legacy single-threaded engine, the default).
+// --stats-json output.
 // --expect-halt (edp-unwritable only) removes the
 // top-level handler so the chain exhausts and the machine halts cleanly.
 // Exit code: 0 if every scenario met its expectation, 1 otherwise, 2 on
@@ -36,7 +30,6 @@
 #include <vector>
 
 #include "src/chaos/scenarios.h"
-#include "src/cpu/machine.h"
 #include "src/sim/config.h"
 
 using namespace casc;
@@ -48,8 +41,7 @@ void PrintUsage(FILE* out) {
                "usage: casc-chaos [--scenario=all|single-core|cross-core|<class>]\n"
                "                  [--seed=N] [--faults=N]\n"
                "                  [--duration=N] [--at=T | --every=N | --prob=P]\n"
-               "                  [--expect-halt] [--host-threads=N] "
-               "[--stats-json=<path>]\n"
+               "                  [--expect-halt] [--stats-json=<path>]\n"
                "                  [--trace-json=<path>] [--list] [--help]\n");
 }
 
@@ -113,11 +105,6 @@ int main(int argc, char** argv) {
     PrintScenarios();
     return 0;
   }
-
-  // Scenario machines leave MachineConfig::host_threads at its "use the
-  // process default" sentinel, so this one call threads the flag through to
-  // every machine the campaign builds.
-  SetDefaultHostThreads(static_cast<uint32_t>(cfg.GetUint("host-threads", 0)));
 
   ScenarioOptions opts;
   opts.seed = cfg.GetUint("seed", 1);

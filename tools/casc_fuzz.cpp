@@ -1,15 +1,15 @@
 // casc-fuzz: differential fuzzer for the CASC simulator.
 //
 //   casc-fuzz [--seed=N] [--iters=N] [--points=0,3,6] [--max-events=N]
-//             [--out=<dir>] [--determinism] [--race-check] [--host-threads=N]
-//             [--cores=N] [--chaos] [--chaos-seed=N] [--fault-mask=N]
-//             [--watchdog-ticks=N] [--list-points]
+//             [--out=<dir>] [--determinism] [--race-check] [--cores=N]
+//             [--chaos] [--chaos-seed=N] [--fault-mask=N] [--watchdog-ticks=N]
+//             [--list-points]
 //   casc-fuzz --repro=<file.casm> [--points=...]
 //   casc-fuzz --corpus=<dir> [--points=...]
 //
 // --cores=2 splits each generated program's threads across two simulated
 // cores, so starts, monitor handshakes, and rpull/rpush tier moves cross the
-// interconnect (and the sharded engine's mailboxes under --host-threads).
+// interconnect.
 //
 // --chaos arms a seeded cross-core fault campaign (chaos_plan.h) over every
 // lattice point: --fault-mask picks the classes (bit 0 fabric-link-fault,
@@ -34,12 +34,6 @@
 // the untimed reference model. On a failure, the program is auto-shrunk to a
 // minimal repro and written as a `.casm` file (to --out, default cwd).
 //
-// --host-threads=N runs every simulator build on the host-parallel sharded
-// engine (DESIGN.md §4i; 0 = legacy, the default) — the differential
-// comparison against the untimed reference then doubles as a determinism
-// check for the sharded engine. Ignored (forced to 0, with a note) when
-// --race-check is on: the race observer is not thread-safe.
-//
 // --repro re-runs one saved case and reports pass/fail; --corpus runs every
 // `.casm` file in a directory (regression mode; no shrinking). Exit code:
 // 0 clean, 1 failure found, 2 usage error.
@@ -50,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cpu/machine.h"
 #include "src/sim/config.h"
 #include "src/sim/rng.h"
 #include "src/verify/chaos_plan.h"
@@ -143,17 +136,6 @@ int main(int argc, char** argv) {
       opts.race_check = false;
     }
   }
-  uint32_t host_threads = static_cast<uint32_t>(cfg.GetUint("host-threads", 0));
-  if (opts.race_check && host_threads != 0) {
-    std::fprintf(stderr,
-                 "warning: --race-check forces --host-threads=0 (the race observer "
-                 "is not thread-safe)\n");
-    host_threads = 0;
-  }
-  // Lattice machines leave MachineConfig::host_threads at the "process
-  // default" sentinel, so this threads the flag through every build.
-  SetDefaultHostThreads(host_threads);
-
   const std::string repro = cfg.GetString("repro");
   if (!repro.empty()) {
     std::ifstream in(repro);

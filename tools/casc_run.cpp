@@ -1,9 +1,8 @@
 // casc-run: assemble a .casm file and run it on a simulated machine.
 //
 //   casc-run prog.casm [--entry=symbol] [--supervisor=true] [--max-cycles=N]
-//            [--cores=1] [--threads-per-core=64] [--host-threads=N] [--trace]
-//            [--trace-json=<path>] [--dump-stats] [--stats-json=<path>]
-//            [--no-lint] [--race-check]
+//            [--cores=1] [--threads-per-core=64] [--trace] [--trace-json=<path>]
+//            [--dump-stats] [--stats-json=<path>] [--no-lint] [--race-check]
 //
 // The program is linted by default before it runs (diagnostics go to stderr;
 // the simulation proceeds regardless — the simulator is the ground truth).
@@ -22,15 +21,9 @@
 // the flag off, no observer is installed and the hot path only pays a null
 // pointer test.
 //
-// --host-threads=N runs the machine on the host-parallel sharded engine
-// (DESIGN.md §4i) with N host threads; 0 (the default) keeps the legacy
-// single-threaded engine. Simulated results are a pure function of
-// (program, seed, config): --stats-json output is byte-identical at every
-// host-thread count. --race-check forces the legacy engine (the vector-clock
-// observer is itself not thread-safe); a note goes to stderr.
 // With a multi-core machine (--cores=N), harness threads land on core
 // ptid / threads-per-core — `--cores=4 --threads-per-core=1` spreads t0..t3
-// across four cores/shards.
+// across four cores.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -51,9 +44,8 @@ void PrintUsage(FILE* out) {
   std::fprintf(out,
                "usage: casc-run <file.casm> [--entry=symbol] [--supervisor=true]\n"
                "                [--max-cycles=N] [--cores=1] [--threads-per-core=64]\n"
-               "                [--host-threads=N] [--trace] [--trace-json=<path>]\n"
-               "                [--dump-stats] [--stats-json=<path>] [--no-lint]\n"
-               "                [--race-check] [--help]\n");
+               "                [--trace] [--trace-json=<path>] [--dump-stats]\n"
+               "                [--stats-json=<path>] [--no-lint] [--race-check] [--help]\n");
 }
 
 }  // namespace
@@ -85,13 +77,6 @@ int main(int argc, char** argv) {
   MachineConfig mc;
   mc.num_cores = static_cast<uint32_t>(cfg.GetUint("cores", 1));
   mc.hwt.threads_per_core = static_cast<uint32_t>(cfg.GetUint("threads-per-core", 64));
-  mc.host_threads = static_cast<uint32_t>(cfg.GetUint("host-threads", 0));
-  if (cfg.GetBool("race-check", false) && mc.host_threads != 0) {
-    std::fprintf(stderr,
-                 "note: --race-check forces --host-threads=0 (the race observer "
-                 "is not thread-safe)\n");
-    mc.host_threads = 0;
-  }
 
   const AssembleResult assembled = Assembler::Assemble(ss.str(), /*base=*/0x1000);
   if (!assembled.ok) {
@@ -155,9 +140,7 @@ int main(int argc, char** argv) {
   }
   const uint64_t max_cycles = cfg.GetUint("max-cycles", 100'000'000);
   // Drain events up to the budget without advancing the clock past the last
-  // real event (so the cycle report is meaningful). DrainBudget picks the
-  // right engine: per-event on legacy machines, windowed rounds on sharded
-  // ones — same observable results either way.
+  // real event (so the cycle report is meaningful).
   const bool drained = m.DrainBudget(start + max_cycles);
 
   std::printf("---\n");

@@ -4,9 +4,9 @@
 # a fixed-seed generator run across the whole config lattice with determinism
 # and race checking), the saved regression corpus (fuzz_corpus), the
 # chaos_smoke tier (every fault-injection scenario plus the seed-determinism
-# check), and the fuzz_chaos tier (chaos-differential batches across the
-# host-threads lattice and per-fault-class masks, campaign-replay
-# determinism, and the wedged-fixture watchdog negative; DESIGN.md §4k).
+# check), and the fuzz_chaos tier (chaos-differential batches with every
+# fault class and per-fault-class masks, campaign-replay determinism, and
+# the wedged-fixture watchdog negative; DESIGN.md §4k).
 # Memory errors in the simulator, the reference model, or the
 # fault-recovery paths surface here rather than as silent state divergence.
 # The interpreter has one run-time engine (DESIGN.md §4j), so every tier
@@ -15,13 +15,11 @@
 # switch engine that such compilers never build.
 #
 # The `thread` tier builds with TSan and runs the tests labelled `tsan`: the
-# concurrency-analyzer suite, the monitor/mwait race fixtures, the sharded
-# engine's unit suite (test_shard), and bench + chaos smokes with a real
-# 4-worker host pool (--host-threads=4) — including the cross-core fault
-# campaigns (chaos_tsan_cross_core) — so the engine's claim/park/mailbox
-# machinery itself runs under the race detector. Host-level data races in the
-# simulator's own bookkeeping surface here, complementing the guest-level
-# casc-race detector.
+# concurrency-analyzer suite (test_race), the ring suite (test_ring), and the
+# monitor/mwait race fixtures run through casc_run --race-check. The
+# simulator runs on one host thread (DESIGN.md §4i), so TSan can only report
+# a host-level race once a change adds a host thread; the tier stays so that
+# such a change is checked.
 #
 # Usage: ci_sanitize.sh [sanitizers] [build-dir]
 #   sanitizers   comma list for -fsanitize (default: address,undefined;

@@ -6,12 +6,8 @@
 # uninitialized reads) — the kind that silently breaks differential fuzzing.
 #
 # With a casc_run binary and a program as extra arguments, the check also
-# covers the host-parallel sharded engine (DESIGN.md §4i): the program runs
-# on two cores at --host-threads 1, 2, and 4, and every stats dump — and
-# stdout — must be byte-identical. Host-thread count sizes the worker pool;
-# it is not part of the simulated configuration, so any divergence is a
-# cross-shard ordering bug (a mailbox drained in host order, a window
-# boundary that moved with the thread count).
+# runs that program twice on two cores, and both the stats dumps and stdout
+# must be byte-identical (cross-core traffic goes through the same check).
 #
 # Usage: determinism_check.sh <examples-dir> <scratch-dir> [<casc_run> <prog.casm>]
 set -eu
@@ -47,23 +43,17 @@ if [ -n "$casc_run" ]; then
     echo "determinism_check: missing casc_run ($casc_run) or program ($prog)" >&2
     exit 2
   fi
-  base_json="$scratch/hostthreads.ht1.json"
-  base_out="$scratch/hostthreads.ht1.out"
-  "$casc_run" "$prog" --cores=2 --threads-per-core=1 --host-threads=1 \
-    --stats-json="$base_json" > "$base_out"
-  for ht in 2 4; do
-    j="$scratch/hostthreads.ht$ht.json"
-    o="$scratch/hostthreads.ht$ht.out"
-    "$casc_run" "$prog" --cores=2 --threads-per-core=1 --host-threads="$ht" \
-      --stats-json="$j" > "$o"
-    if ! cmp -s "$base_json" "$j" || ! cmp -s "$base_out" "$o"; then
-      echo "determinism_check: --host-threads=$ht diverges from --host-threads=1:" >&2
-      diff "$base_json" "$j" >&2 || true
-      diff "$base_out" "$o" >&2 || true
-      fail=1
-    else
-      echo "determinism_check: host-threads $ht ok (stats + stdout byte-identical)"
-    fi
-  done
+  a="$scratch/cores2.run1.json"
+  b="$scratch/cores2.run2.json"
+  "$casc_run" "$prog" --cores=2 --threads-per-core=1 --stats-json="$a" > "$a.out"
+  "$casc_run" "$prog" --cores=2 --threads-per-core=1 --stats-json="$b" > "$b.out"
+  if ! cmp -s "$a" "$b" || ! cmp -s "$a.out" "$b.out"; then
+    echo "determinism_check: $(basename "$prog") --cores=2 runs differ:" >&2
+    diff "$a" "$b" >&2 || true
+    diff "$a.out" "$b.out" >&2 || true
+    fail=1
+  else
+    echo "determinism_check: $(basename "$prog") --cores=2 ok (stats + stdout byte-identical)"
+  fi
 fi
 exit "$fail"
