@@ -40,8 +40,10 @@ uint32_t ContextStore::TransferBytes(const HwThread& thread) const {
   if (!config_.dirty_register_tracking) {
     return config_.state_bytes;
   }
+  // Control state (pc, mode, edp, tdtr...) always goes with the registers.
+  constexpr uint32_t kControlStateBytes = 48;
   const uint32_t regs_bytes = thread.used_reg_count() * 8;
-  return std::min(config_.state_bytes, config_.control_state_bytes + regs_bytes);
+  return std::min(config_.state_bytes, kControlStateBytes + regs_bytes);
 }
 
 Tick ContextStore::RestoreLatency(const HwThread& thread) const {

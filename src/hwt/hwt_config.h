@@ -61,9 +61,6 @@ struct HwtConfig {
   // Threads with prio >= this jump the scheduling rotation on wake
   // (time-critical interrupt handling, §4). 0 disables preemptive insert.
   uint64_t preempt_priority = 0;
-
-  // Fixed per-state control bytes always transferred (pc, mode, edp, tdtr...).
-  uint32_t control_state_bytes = 48;
 };
 
 }  // namespace casc

@@ -152,19 +152,15 @@ void MemorySystem::DmaWrite(Addr addr, const void* data, size_t len) {
   stat_dma_writes_++;
   phys_.Write(addr, data, len);
   const Addr last = LastLineClamped(addr, len);
-  // DMA invalidates every core's private lines; optionally allocates into the
-  // shared L3 (DDIO-style) so the woken consumer hits on-chip.
+  // DMA invalidates every core's private lines and allocates into the shared
+  // L3 (DDIO-style) so the woken consumer hits on-chip.
   for (Addr line = LineBase(addr);; line += kLineSize) {
     for (auto& cc : core_caches_) {
       cc.l1i->Invalidate(line);
       cc.l1d->Invalidate(line);
       cc.l2->Invalidate(line);
     }
-    if (config_.dma_allocate_l3) {
-      l3_->Access(line, /*is_write=*/true);
-    } else {
-      l3_->Invalidate(line);
-    }
+    l3_->Access(line, /*is_write=*/true);
     for (const TaggedListener& listener : code_write_listeners_) {
       listener.fn(line);
     }
@@ -178,7 +174,8 @@ void MemorySystem::DmaWrite(Addr addr, const void* data, size_t len) {
 void MemorySystem::DmaRead(Addr addr, void* out, size_t len) { phys_.Read(addr, out, len); }
 
 Tick MemorySystem::BulkLatency(MemLevel level, uint32_t bytes) const {
-  const Tick transfer = (bytes + config_.link_bytes_per_cycle - 1) / config_.link_bytes_per_cycle;
+  constexpr uint32_t kLinkBytesPerCycle = 32;  // §4: "32-byte or wider" links
+  const Tick transfer = (bytes + kLinkBytesPerCycle - 1) / kLinkBytesPerCycle;
   switch (level) {
     case MemLevel::kL1:
       return config_.l1d.hit_latency + transfer;

@@ -30,8 +30,6 @@ struct MemConfig {
   CacheConfig l3{"l3", 8 * 1024 * 1024, 16, 42};
   Tick dram_latency = 200;
   Tick mmio_latency = 40;
-  uint32_t link_bytes_per_cycle = 32;  // §4: "32-byte or wider" links
-  bool dma_allocate_l3 = true;         // DDIO-style DMA fill into L3
   MonitorFilterConfig monitor;
 };
 

@@ -242,7 +242,8 @@ GuestTask RingServer::Worker(GuestContext& ctx, uint32_t index) {
     // Nothing published at the cursor: escalate spin -> park -> deep-park.
     idle++;
     if (idle <= cfg_.spin_polls) {
-      co_await ctx.Compute(cfg_.spin_poll_cycles);
+      constexpr Tick kSpinPollCycles = 8;  // cost charged per empty spin poll
+      co_await ctx.Compute(kSpinPollCycles);
       continue;
     }
     if (!lead && cfg_.allow_deep_park && idle > cfg_.spin_polls + cfg_.park_rounds) {

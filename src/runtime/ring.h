@@ -89,7 +89,6 @@ struct RingConfig {
 
   // spin -> mwait-park -> deep-park escalation.
   uint32_t spin_polls = 4;       // empty polls before mwait-parking
-  Tick spin_poll_cycles = 8;     // cost charged per empty spin poll
   uint32_t park_rounds = 4;      // empty mwait wakes before deep-parking
   bool allow_deep_park = true;   // scale the active pool down to the lead
   // Occupancy-driven scale-up: the lead restarts one deep-parked sibling

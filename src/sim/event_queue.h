@@ -7,21 +7,21 @@
 //
 // Events scheduled for the same tick fire in FIFO order of scheduling.
 //
-// Internally a hierarchical timing wheel: events within `kWheelTicks` of
-// now() live in per-tick buckets selected by `when % kWheelTicks` (an O(1)
-// append), with a bitmap tracking occupied buckets so the next-event scan is
-// a handful of word operations instead of heap churn. Far-future events
-// overflow into a small binary heap and migrate into the wheel as now()
-// advances. Cancellation and reschedule are O(1) via generation counters;
-// stale entries are skipped at fire time and compacted away whenever they
-// outnumber live ones.
+// Internally one binary heap ordered by (tick, schedule sequence). Its
+// entries are 32 bytes and trivially copyable: a one-shot callback lives in
+// a slot table and the entry holds only its index, so sifting never moves a
+// std::function. Cancellation and reschedule are O(1) via generation
+// counters; stale entries are skipped when they reach the top and compacted
+// away whenever they outnumber live ones. The heap stays shallow because
+// self-rescheduling actors take most of their ticks in place through
+// AdvanceIfIdle instead of as queue events.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,12 +65,6 @@ class LambdaEvent final : public Event {
 
 class EventQueue {
  public:
-  // Wheel span in ticks. At the default 3 GHz that is ~1.4 us of simulated
-  // time — larger than every in-flight latency the simulator charges (cache
-  // misses, IPIs, context restores), so in practice only long timers take
-  // the heap overflow path.
-  static constexpr Tick kWheelTicks = 4096;
-
   EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -100,18 +94,12 @@ class EventQueue {
       }
     }
     now_ = t;
-    if (!heap_.empty()) {
-      DrainHeap();  // the wheel window moved; keep heap entries FIFO-first
-    }
     return true;
   }
 
   // Schedules `ev` to fire at absolute tick `when`. If `ev` is already
-  // scheduled it is rescheduled. A `when` in the past is clamped to now():
-  // the unsigned distance `when - now_` would otherwise wrap and misfile the
-  // entry into the far-future heap, where it jams NextTick()/DrainHeap()
-  // (same unsigned-wrap family as the MonitorFilter and InvalidateForWrite
-  // fixes).
+  // scheduled it is rescheduled. A `when` in the past is clamped to now(), so
+  // the clock never runs backwards when the entry fires.
   void Schedule(Event* ev, Tick when);
 
   // Convenience: schedule relative to now. Saturates at Tick max so a delay
@@ -138,7 +126,7 @@ class EventQueue {
 
   // Internal storage footprint including dead (rescheduled/cancelled)
   // entries. Exposed so tests can assert dead-entry growth stays bounded.
-  size_t InternalEntryCount() const { return entry_count_; }
+  size_t InternalEntryCount() const { return heap_.size(); }
 
   // Tick of the earliest live event, or Tick max if empty.
   Tick NextTick() const;
@@ -159,73 +147,50 @@ class EventQueue {
   uint64_t RunWhile(Tick limit, const std::function<bool()>& pred);
 
  private:
-  static constexpr uint64_t kWheelMask = kWheelTicks - 1;
-  static constexpr size_t kBitmapWords = kWheelTicks / 64;
-
   struct Entry {
     Tick when;
-    uint64_t seq;                // tie-break for FIFO order within a tick
-    Event* ev;                   // nullptr for one-shot fn entries
-    uint64_t generation;         // must match ev->generation_ to be live
-    std::function<void()> fn;    // one-shot payload when ev == nullptr
-
-    bool After(const Entry& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
+    uint64_t seq;  // tie-break for FIFO order within a tick
+    Event* ev;     // nullptr for a one-shot entry
+    uint64_t aux;  // Event entry: generation that must match ev->generation_
+                   // to be live; one-shot entry: index of its callback in fns_
+  };
+  // Sifting copies entries; a std::function inside would make every copy an
+  // indirect move and double the entry size.
+  static_assert(sizeof(Entry) == 32 && std::is_trivially_copyable_v<Entry>);
+  // The std heap functions keep the greatest element first; "greater" is later.
+  struct HeapCmp {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
-  struct HeapCmp {
-    bool operator()(const Entry& a, const Entry& b) const { return a.After(b); }
-  };
 
-  // A fired entry is marked consumed (ev and fn both null) and is no longer
-  // live; a cancelled/rescheduled Event entry goes dead via its generation.
-  bool IsLive(const Entry& e) const {
-    return e.ev != nullptr ? (e.ev->scheduled_ && e.ev->generation_ == e.generation)
-                           : static_cast<bool>(e.fn);
+  // A one-shot entry is live until popped; an Event entry goes dead when the
+  // event is cancelled or rescheduled (its generation moves on).
+  static bool IsLive(const Entry& e) {
+    return e.ev == nullptr || (e.ev->scheduled_ && e.ev->generation_ == e.aux);
   }
 
-  bool InWheelWindow(Tick when) const { return when - now_ < kWheelTicks; }
   Tick SaturatingFromNow(Tick delta) const {
     return delta > std::numeric_limits<Tick>::max() - now_ ? std::numeric_limits<Tick>::max()
                                                            : now_ + delta;
   }
-  void AddEntry(Entry entry);
-  void SetBit(size_t bucket) { bitmap_[bucket >> 6] |= 1ull << (bucket & 63); }
-  void ClearBucket(size_t bucket);
-  // Scans the bucket for a live entry, starting at the fire cursor when the
-  // bucket is the active one. Returns the entry index or SIZE_MAX.
-  size_t FindLive(size_t bucket) const;
-  // Distance in ticks from now() to the earliest occupied wheel bucket with a
-  // live entry (cleaning exhausted buckets along the way), or SIZE_MAX.
-  // When found and `pos` is non-null, also reports the bucket and entry index
-  // so RunOne does not rescan.
-  struct WheelPos {
-    size_t bucket;
-    size_t idx;
-  };
-  size_t ScanWheel(WheelPos* pos = nullptr);
-  // Migrates heap entries that entered the wheel window into their buckets.
-  // Must run after every advance of now_ so overflow entries land in bucket
-  // order before any same-tick direct schedule (preserves FIFO by seq).
-  void DrainHeap();
-  void PopDeadHeap();
+  void AddEntry(const Entry& entry);
+  void PopTop();
   void MaybeCompact();
 
-  std::array<std::vector<Entry>, kWheelTicks> wheel_;
-  std::array<uint64_t, kBitmapWords> bitmap_{};
-  std::vector<Entry> heap_;    // far-future overflow (when - now >= kWheelTicks)
-  // Fire cursor: entries [0, active_idx_) of bucket active_bucket_ are
-  // consumed or dead. Advanced before Fire() so reentrant schedules are safe.
-  size_t active_bucket_ = 0;
-  size_t active_idx_ = 0;
+  std::vector<Entry> heap_;  // live entries plus not-yet-reclaimed dead ones
+  // One-shot callbacks by slot. A slot is freed when its entry is popped,
+  // after the callback has been moved out, so the callback may schedule
+  // one-shots that reuse the slot.
+  std::vector<std::function<void()>> fns_;
+  std::vector<uint64_t> free_fns_;
   Tick now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t generation_counter_ = 0;
   size_t live_count_ = 0;
-  size_t entry_count_ = 0;     // live + not-yet-reclaimed dead, wheel + heap
   uint64_t fired_count_ = 0;
-  Tick advance_limit_ = 0;     // AdvanceIfIdle ceiling; raised inside RunUntil/RunAll
-  Tick next_live_lb_ = 0;      // <= earliest live tick; lowered by AddEntry
+  Tick advance_limit_ = 0;  // AdvanceIfIdle ceiling; raised inside RunUntil/RunAll
+  Tick next_live_lb_ = 0;   // <= earliest live tick; lowered by AddEntry
 };
 
 }  // namespace casc

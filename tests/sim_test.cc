@@ -20,6 +20,10 @@
 namespace casc {
 namespace {
 
+// Distance of a "far" schedule: beyond every in-flight latency the simulator
+// charges (cache misses, IPIs, context restores), where long timers sit.
+constexpr Tick kFar = 4096;
+
 TEST(EventQueueTest, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
@@ -124,18 +128,18 @@ TEST(EventQueueTest, RescheduleWhilePendingMovesBothDirections) {
   EventQueue q;
   std::vector<Tick> fired_at;
   LambdaEvent ev([&] { fired_at.push_back(q.now()); });
-  // Near -> far: the wheel entry goes stale, the heap entry is live.
+  // Near -> far: the near entry goes stale, the far entry is live.
   q.Schedule(&ev, 10);
-  q.Schedule(&ev, EventQueue::kWheelTicks + 500);
+  q.Schedule(&ev, kFar + 500);
   q.RunUntil(100);
   EXPECT_TRUE(fired_at.empty());
   q.RunAll();
   ASSERT_EQ(fired_at.size(), 1u);
-  EXPECT_EQ(fired_at[0], EventQueue::kWheelTicks + 500);
-  // Far -> near: the heap entry goes stale, the wheel entry is live. The
+  EXPECT_EQ(fired_at[0], kFar + 500);
+  // Far -> near: the far entry goes stale, the near entry is live. The
   // stale far entry must neither fire nor drag now() forward.
   const Tick base = q.now();
-  q.Schedule(&ev, base + EventQueue::kWheelTicks + 500);
+  q.Schedule(&ev, base + kFar + 500);
   q.Schedule(&ev, base + 3);
   q.RunAll();
   ASSERT_EQ(fired_at.size(), 2u);
@@ -146,7 +150,7 @@ TEST(EventQueueTest, RescheduleWhilePendingMovesBothDirections) {
 TEST(EventQueueTest, FarFutureSchedulingFiresInOrder) {
   EventQueue q;
   std::vector<int> order;
-  const Tick far = 3 * EventQueue::kWheelTicks + 7;  // beyond the wheel window
+  const Tick far = 3 * kFar + 7;
   q.ScheduleFn(far, [&] { order.push_back(2); });
   q.ScheduleFn(far + 1, [&] { order.push_back(3); });
   q.ScheduleFn(5, [&] { order.push_back(1); });
@@ -156,35 +160,35 @@ TEST(EventQueueTest, FarFutureSchedulingFiresInOrder) {
   EXPECT_EQ(q.now(), far + 1);
 }
 
-TEST(EventQueueTest, HeapToWheelMigrationKeepsFifoWithinTick) {
-  // An entry scheduled while far-future (heap overflow) and one scheduled
-  // directly into the wheel for the same tick must fire in schedule order.
+TEST(EventQueueTest, FarAndNearSchedulesForOneTickKeepFifo) {
+  // An entry scheduled while its tick was far off and one scheduled for the
+  // same tick once it is near must fire in schedule order.
   EventQueue q;
   std::vector<int> order;
-  const Tick t = EventQueue::kWheelTicks + 10;
-  q.ScheduleFn(t, [&] { order.push_back(1); });  // heap at schedule time
-  q.RunUntil(t - 1);                             // migrates into the wheel
-  q.ScheduleFn(t, [&] { order.push_back(2); });  // direct same-tick append
+  const Tick t = kFar + 10;
+  q.ScheduleFn(t, [&] { order.push_back(1); });  // far at schedule time
+  q.RunUntil(t - 1);
+  q.ScheduleFn(t, [&] { order.push_back(2); });  // near at schedule time
   q.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueueTest, RunUntilCrossesEmptyWheelSpans) {
+TEST(EventQueueTest, RunUntilCrossesLongEmptySpans) {
   EventQueue q;
   int fired = 0;
   q.ScheduleFn(3, [&] { fired++; });
   q.RunAll();
-  // Jump now() across several full wheel wraps with nothing scheduled.
-  const Tick target = 10 * EventQueue::kWheelTicks + 123;
+  // Jump now() across a long span with nothing scheduled.
+  const Tick target = 10 * kFar + 123;
   q.RunUntil(target);
   EXPECT_EQ(q.now(), target);
   EXPECT_TRUE(q.Empty());
-  // The wheel must still index correctly after the jump.
+  // Near and far schedules still fire at their ticks after the jump.
   q.ScheduleFn(target + 2, [&] { fired++; });
-  q.ScheduleFn(target + EventQueue::kWheelTicks + 2, [&] { fired++; });
+  q.ScheduleFn(target + kFar + 2, [&] { fired++; });
   q.RunAll();
   EXPECT_EQ(fired, 3);
-  EXPECT_EQ(q.now(), target + EventQueue::kWheelTicks + 2);
+  EXPECT_EQ(q.now(), target + kFar + 2);
 }
 
 TEST(EventQueueTest, RepeatedRescheduleKeepsStorageBounded) {
@@ -194,7 +198,7 @@ TEST(EventQueueTest, RepeatedRescheduleKeepsStorageBounded) {
   EventQueue q;
   LambdaEvent ev([] {});
   for (Tick t = 1; t <= 10000; t++) {
-    q.Schedule(&ev, t);  // spans both the wheel and the heap overflow
+    q.Schedule(&ev, t);  // every earlier entry goes stale
   }
   EXPECT_EQ(q.LiveCount(), 1u);
   EXPECT_LT(q.InternalEntryCount(), 256u);
@@ -210,11 +214,28 @@ TEST(EventQueueTest, RepeatedRescheduleKeepsStorageBounded) {
   }
   EXPECT_EQ(q.LiveCount(), 0u);
   EXPECT_LT(q.InternalEntryCount(), 256u);
+
+  // Firing the live population must not strand the dead entries either:
+  // 70 one-shots beside 68 stale reschedules that all lie behind the live
+  // one, then every one-shot fires.
+  EventQueue q2;
+  for (Tick t = 1; t <= 70; t++) {
+    q2.ScheduleFn(t, [] {});
+  }
+  for (Tick t = 0; t < 69; t++) {
+    q2.Schedule(&ev, 2000 - t);
+  }
+  q2.RunUntil(70);
+  EXPECT_EQ(q2.LiveCount(), 1u);
+  EXPECT_LT(q2.InternalEntryCount(), 64u);
 }
 
 TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   // Drive the queue with random schedules/cancels/runs and check every fire
   // against a brute-force reference model ordered by (when, schedule-seq).
+  // Every kSpawnEvery-th one-shot, while it fires, schedules a child one-shot
+  // and reschedules a pool event, so a callback slot freed by the firing
+  // entry is reused while that entry's callback is still running.
   EventQueue q;
   Rng rng(2026);
   std::vector<int> got;
@@ -236,6 +257,18 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
     pool.push_back(std::make_unique<LambdaEvent<std::function<void()>>>(
         [&got, i] { got.push_back(1000000 + i); }));
   }
+  // A spawning one-shot `id` firing at `now` schedules child 2000000 + id at
+  // now + id % 7, then reschedules pool event id % kPool to now + (id % 13) * 97.
+  constexpr int kSpawnEvery = 5;
+  auto one_shot = [&](int id) -> std::function<void()> {
+    return [&got, &q, &pool, id] {
+      got.push_back(id);
+      if (id % kSpawnEvery == 0) {
+        q.ScheduleFn(q.now() + id % 7, [&got, id] { got.push_back(2000000 + id); });
+        q.Schedule(pool[id % kPool].get(), q.now() + (id % 13) * 97);
+      }
+    };
+  };
   auto ref_min = [&]() -> size_t {
     size_t best = SIZE_MAX;
     for (size_t j = 0; j < ref.size(); j++) {
@@ -254,20 +287,33 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
       }
     }
   };
+  auto ref_fire = [&](size_t j) {
+    const Ref r = ref[j];
+    ref.erase(ref.begin() + j);
+    want.push_back(r.id);
+    if (r.id < 1000000 && r.id % kSpawnEvery == 0) {
+      ref.push_back({r.when + r.id % 7, next_seq++, 2000000 + r.id});
+      ref_erase_slot(r.id % kPool);
+      ref.push_back({r.when + (r.id % 13) * 97, next_seq++, 1000000 + r.id % kPool});
+    }
+  };
 
   for (int step = 0; step < 4000; step++) {
     const uint64_t op = rng.NextBounded(100);
     if (op < 40) {
-      const Tick when = model_now + rng.NextBounded(3 * EventQueue::kWheelTicks);
+      const Tick when = model_now + rng.NextBounded(3 * kFar);
       const int id = next_id++;
       ref.push_back({when, next_seq++, id});
-      q.ScheduleFn(when, [&got, id] { got.push_back(id); });
+      q.ScheduleFn(when, one_shot(id));
     } else if (op < 60) {
+      // A burst of reschedules leaves dead entries behind for compaction.
       const int i = static_cast<int>(rng.NextBounded(kPool));
-      const Tick when = model_now + rng.NextBounded(3 * EventQueue::kWheelTicks);
-      ref_erase_slot(i);  // a reschedule supersedes the earlier entry
-      ref.push_back({when, next_seq++, 1000000 + i});
-      q.Schedule(pool[i].get(), when);
+      for (uint64_t n = 1 + rng.NextBounded(32); n > 0; n--) {
+        const Tick when = model_now + rng.NextBounded(3 * kFar);
+        ref_erase_slot(i);  // a reschedule supersedes the earlier entry
+        ref.push_back({when, next_seq++, 1000000 + i});
+        q.Schedule(pool[i].get(), when);
+      }
     } else if (op < 70) {
       const int i = static_cast<int>(rng.NextBounded(kPool));
       ref_erase_slot(i);
@@ -277,27 +323,29 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
       if (j == SIZE_MAX) {
         EXPECT_FALSE(q.RunOne());
       } else {
-        want.push_back(ref[j].id);
         model_now = ref[j].when;
-        ref.erase(ref.begin() + j);
+        ref_fire(j);
         EXPECT_TRUE(q.RunOne());
         EXPECT_EQ(q.now(), model_now);
       }
     } else {
-      const Tick limit = model_now + rng.NextBounded(2 * EventQueue::kWheelTicks);
+      const Tick limit = model_now + rng.NextBounded(2 * kFar);
       for (;;) {
         const size_t j = ref_min();
         if (j == SIZE_MAX || ref[j].when > limit) {
           break;
         }
-        want.push_back(ref[j].id);
-        ref.erase(ref.begin() + j);
+        ref_fire(j);
       }
       model_now = std::max(model_now, limit);
       q.RunUntil(limit);
       EXPECT_EQ(q.now(), model_now);
     }
     ASSERT_EQ(got, want) << "diverged at step " << step;
+    ASSERT_EQ(q.LiveCount(), ref.size()) << "at step " << step;
+    // Compaction keeps dead entries from outnumbering live ones past 64.
+    ASSERT_LE(q.InternalEntryCount(), std::max<size_t>(63, 2 * q.LiveCount()))
+        << "at step " << step;
   }
   q.RunAll();
   for (;;) {
@@ -305,18 +353,15 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
     if (j == SIZE_MAX) {
       break;
     }
-    want.push_back(ref[j].id);
-    ref.erase(ref.begin() + j);
+    ref_fire(j);
   }
   EXPECT_EQ(got, want);
   EXPECT_TRUE(q.Empty());
 }
 
 TEST(EventQueueTest, SchedulePastTickClampsToNow) {
-  // Scheduling behind now() used to compute the unsigned wheel distance
-  // `when - now_`, wrap, and misfile the entry into the far-future heap,
-  // where it jammed NextTick(). Past ticks must clamp to now() and fire on
-  // the next dispatch.
+  // Past ticks must clamp to now() and fire on the next dispatch; the
+  // clock never runs backwards.
   EventQueue q;
   q.RunUntil(100);
   int fired = 0;
@@ -436,17 +481,16 @@ TEST(EventQueueTest, AdvanceIfIdleRefusesAtLiveEventTick) {
   EXPECT_EQ(log, expected);
 }
 
-TEST(EventQueueTest, AdvanceIfIdleMigratesHeapEntriesFifoFirst) {
-  // An in-place advance moves the wheel window like any other advance: a
-  // far-future heap entry that now falls inside it must migrate before a
-  // later direct schedule for the same tick, or FIFO order inverts.
+TEST(EventQueueTest, AdvanceIfIdleKeepsSameTickFifoForFarEntry) {
+  // An in-place advance up to just before a far entry's tick must not let a
+  // later schedule for that same tick overtake it.
   EventQueue q;
   std::vector<int> log;
-  const Tick far = 2 * EventQueue::kWheelTicks;
-  q.ScheduleFn(far, [&] { log.push_back(1); });  // heap: beyond the window
+  const Tick far = 2 * kFar;
+  q.ScheduleFn(far, [&] { log.push_back(1); });  // far at schedule time
   q.ScheduleFn(10, [&] {
     ASSERT_TRUE(q.AdvanceIfIdle(far - 100));
-    q.ScheduleFn(far, [&] { log.push_back(2); });  // wheel: same tick
+    q.ScheduleFn(far, [&] { log.push_back(2); });  // near, same tick
   });
   q.RunAll();
   const std::vector<int> expected = {1, 2};
