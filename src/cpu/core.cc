@@ -29,12 +29,14 @@ Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id, Core
       timings_(timings),
       l1i_hit_latency_(mem.config().l1i.hit_latency),
       tick_event_(this),
+      native_(ts.config().threads_per_core),
       ptid_base_(ts.PtidOf(id, 0)),
       cont_(ts.config().threads_per_core),
       stat_instructions_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".instructions")),
       stat_active_cycles_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".active_cycles")),
       stat_idle_wakeups_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".idle_wakeups")) {
   picked_.resize(ts.config().smt_width);
+  sim_.queue().RegisterLane(&tick_event_);
   mem_.AddCodeWriteListener(id_, [this](Addr line) { InvalidatePredecodeLine(line); });
 }
 
@@ -87,10 +89,10 @@ void Core::FillPredecodeLine(PredecodedLine& line, Addr base) {
 
 void Core::BindNative(Ptid ptid, NativeProgram program) {
   assert(ts_.CoreOf(ptid) == id_);
-  NativeState ns;
+  assert(program);  // an empty program marks an interpreted thread
+  NativeState& ns = native_[ptid - ptid_base_];
+  ns = NativeState{};
   ns.program = std::move(program);
-  native_[ptid] = std::move(ns);
-  has_native_ = true;
 }
 
 void Core::Kick() {
@@ -189,13 +191,8 @@ void Core::Cycle() {
 }
 
 Tick Core::Step(HwThread& t) {
-  Tick latency = 0;
-  if (has_native_) {
-    auto it = native_.find(t.ptid());
-    latency = it != native_.end() ? StepNative(t, it->second) : StepInterpreted(t);
-  } else {
-    latency = StepInterpreted(t);
-  }
+  NativeState& ns = native_[t.ptid() - ptid_base_];
+  const Tick latency = ns.program ? StepNative(t, ns) : StepInterpreted(t);
   if (t.state() == ThreadState::kRunnable) {
     t.set_ready_at(sim_.queue().now() + std::max<Tick>(1, latency));
     ts_.store(id_).Touch(t);
@@ -305,8 +302,10 @@ Tick Core::ExecuteNativeOp(HwThread& t, GuestContext& ctx, const GuestOp& op) {
   };
   switch (op.kind) {
     case GuestOp::Kind::kCompute:
-      ctx.DeliverResult(0);
-      return std::max<Tick>(1, op.cycles);
+      // Unreachable: StepNative consumes every compute op one cycle per
+      // pick, the only compute timing model.
+      assert(false && "compute ops never reach ExecuteNativeOp");
+      break;
     case GuestOp::Kind::kLoad: {
       if (chb_ != nullptr) {
         chb_->OnLoad(self, op.addr, op.size, /*pc=*/0);

@@ -18,7 +18,6 @@
 #include <array>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cpu/guest.h"
@@ -298,13 +297,12 @@ class Core {
   Tick l1i_hit_latency_;  // hoisted from mem config: read once per instruction
   TickEvent tick_event_;
   std::vector<HwThread*> picked_;  // PickUpTo scratch, sized smt_width at construction
-  std::unordered_map<Ptid, NativeState> native_;
-  bool has_native_ = false;  // skips the native_ lookup on all-interpreted cores
+  std::vector<NativeState> native_;  // by local thread; empty program: interpreted
   HcallHandler hcall_;
   ConcurrencyObserver* chb_ = nullptr;
   // Bumped on every predecode fill/invalidation; validates continuations.
   uint64_t code_epoch_ = 1;
-  Ptid ptid_base_;                // first local ptid; indexes cont_
+  Ptid ptid_base_;                // first local ptid; indexes native_ and cont_
   std::vector<FusedCont> cont_;   // one staged continuation per local thread
   std::array<PredecodedLine, kPredecodeLines> predecode_;
   uint64_t stat_predecode_hits_ = 0;

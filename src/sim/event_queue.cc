@@ -6,20 +6,33 @@
 
 namespace casc {
 
+void EventQueue::RegisterLane(Event* ev) {
+  assert(ev != nullptr && !ev->scheduled_ && ev->lane_ == Event::kNoLane);
+  ev->lane_ = static_cast<uint32_t>(lanes_.size());
+  lanes_.push_back(Lane{.ev = ev});
+}
+
 void EventQueue::Schedule(Event* ev, Tick when) {
   assert(ev != nullptr);
   if (when < now_) {
     when = now_;  // see the header comment on past-tick clamping
   }
-  if (ev->scheduled_) {
-    // Reschedule: invalidate the old entry via a new generation.
-    live_count_--;
+  if (!ev->scheduled_) {
+    live_count_++;
+    live_lanes_ += ev->lane_ != Event::kNoLane;
   }
   ev->scheduled_ = true;
   ev->when_ = when;
+  if (ev->lane_ != Event::kNoLane) {
+    // A lane overwrites its key in place; the fresh sequence number keeps it
+    // in the order a new heap entry would have taken.
+    next_live_lb_ = std::min(next_live_lb_, when);
+    lanes_[ev->lane_] = Lane{when, next_seq_++, ev};
+    return;
+  }
+  // Reschedule or first schedule: any old entry dies with the generation.
   ev->generation_ = ++generation_counter_;
   AddEntry(Entry{when, next_seq_++, ev, ev->generation_});
-  live_count_++;
   MaybeCompact();
 }
 
@@ -29,8 +42,13 @@ void EventQueue::Deschedule(Event* ev) {
     return;
   }
   ev->scheduled_ = false;
-  ev->generation_ = ++generation_counter_;
   live_count_--;
+  if (ev->lane_ != Event::kNoLane) {
+    live_lanes_--;
+    lanes_[ev->lane_] = Lane{.ev = ev};
+    return;
+  }
+  ev->generation_ = ++generation_counter_;
   MaybeCompact();
 }
 
@@ -62,37 +80,67 @@ void EventQueue::PopTop() {
   heap_.pop_back();
 }
 
+void EventQueue::DropDeadTop() {
+  while (!heap_.empty() && !IsLive(heap_.front())) {
+    PopTop();
+  }
+}
+
 void EventQueue::MaybeCompact() {
   // Compact when stale entries outnumber live ones (>50% dead) and there is
   // enough bulk for the O(n) sweep to pay off.
-  if (heap_.size() < 64 || heap_.size() - live_count_ <= live_count_) {
+  const size_t heap_live = live_count_ - live_lanes_;
+  if (heap_.size() < 64 || heap_.size() - heap_live <= heap_live) {
     return;
   }
   std::erase_if(heap_, [](const Entry& e) { return !IsLive(e); });
   std::make_heap(heap_.begin(), heap_.end(), HeapCmp{});
-  assert(heap_.size() == live_count_);
+  assert(heap_.size() == heap_live);
 }
 
 Tick EventQueue::NextTick() const {
   // Logically const: dropping dead entries off the top does not change the
   // observable queue state.
-  EventQueue* self = const_cast<EventQueue*>(this);
-  while (!heap_.empty() && !IsLive(heap_.front())) {
-    self->PopTop();
+  const_cast<EventQueue*>(this)->DropDeadTop();
+  Tick next = heap_.empty() ? std::numeric_limits<Tick>::max() : heap_.front().when;
+  for (const Lane& lane : lanes_) {
+    next = std::min(next, lane.when);
   }
-  return heap_.empty() ? std::numeric_limits<Tick>::max() : heap_.front().when;
+  return next;
 }
 
-bool EventQueue::RunOne() {
-  if (live_count_ == 0) {
-    return false;
+bool EventQueue::FireNext(Tick limit) {
+  DropDeadTop();
+  Tick when = std::numeric_limits<Tick>::max();
+  uint64_t seq = kIdleSeq;
+  if (!heap_.empty()) {
+    when = heap_.front().when;
+    seq = heap_.front().seq;
   }
-  NextTick();  // the top is now the earliest live entry
-  const Entry e = heap_.front();
-  PopTop();
-  now_ = e.when;
+  Lane* lane = nullptr;
+  for (Lane& l : lanes_) {
+    if (Earlier(l.when, l.seq, when, seq)) {
+      lane = &l;
+      when = l.when;
+      seq = l.seq;
+    }
+  }
+  if (seq == kIdleSeq || when > limit) {
+    return false;  // empty, or the earliest live event lies beyond `limit`
+  }
+  now_ = when;
   live_count_--;
   fired_count_++;
+  if (lane != nullptr) {
+    Event* ev = lane->ev;
+    live_lanes_--;
+    *lane = Lane{.ev = ev};
+    ev->scheduled_ = false;
+    ev->Fire();
+    return true;
+  }
+  const Entry e = heap_.front();
+  PopTop();
   if (e.ev != nullptr) {
     e.ev->scheduled_ = false;
     e.ev->Fire();
@@ -107,14 +155,12 @@ bool EventQueue::RunOne() {
   return true;
 }
 
+bool EventQueue::RunOne() { return FireNext(std::numeric_limits<Tick>::max()); }
+
 void EventQueue::RunUntil(Tick limit) {
   const Tick saved_limit = advance_limit_;
   advance_limit_ = limit;
-  // The live check matters at limit == Tick max: the empty-queue sentinel
-  // (NextTick() == Tick max) satisfies `<= limit` and RunOne() on an empty
-  // queue is a no-op, which would spin forever.
-  while (live_count_ != 0 && NextTick() <= limit) {
-    RunOne();
+  while (FireNext(limit)) {
   }
   advance_limit_ = saved_limit;
   now_ = std::max(now_, limit);
@@ -124,7 +170,7 @@ uint64_t EventQueue::RunAll(uint64_t max_events) {
   const Tick saved_limit = advance_limit_;
   advance_limit_ = std::numeric_limits<Tick>::max();
   uint64_t fired = 0;
-  while (fired < max_events && RunOne()) {
+  while (fired < max_events && FireNext(std::numeric_limits<Tick>::max())) {
     fired++;
   }
   advance_limit_ = saved_limit;
@@ -135,7 +181,7 @@ uint64_t EventQueue::RunWhile(Tick limit, const std::function<bool()>& pred) {
   const Tick saved_limit = advance_limit_;
   advance_limit_ = limit;
   uint64_t fired = 0;
-  while (pred() && NextTick() <= limit && RunOne()) {
+  while (pred() && FireNext(limit)) {
     fired++;
   }
   advance_limit_ = saved_limit;

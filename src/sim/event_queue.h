@@ -7,14 +7,21 @@
 //
 // Events scheduled for the same tick fire in FIFO order of scheduling.
 //
-// Internally one binary heap ordered by (tick, schedule sequence). Its
-// entries are 32 bytes and trivially copyable: a one-shot callback lives in
-// a slot table and the entry holds only its index, so sifting never moves a
-// std::function. Cancellation and reschedule are O(1) via generation
-// counters; stale entries are skipped when they reach the top and compacted
-// away whenever they outnumber live ones. The heap stays shallow because
-// self-rescheduling actors take most of their ticks in place through
-// AdvanceIfIdle instead of as queue events.
+// Internally every scheduled event carries a (tick, schedule sequence) key
+// from one counter, and the earliest key fires next. Keys live in two places:
+//  * Lanes: a small flat array with one slot per registered Event (each
+//    core's tick event). Scheduling, rescheduling or cancelling a lane is an
+//    O(1) overwrite of its slot, with no heap entry left behind.
+//  * One binary heap for everything else. Its entries are 32 bytes and
+//    trivially copyable: a one-shot callback lives in a slot table and the
+//    entry holds only its index, so sifting never moves a std::function.
+//    Cancellation and reschedule are O(1) via generation counters; stale
+//    entries are skipped when they reach the top and compacted away
+//    whenever they outnumber live ones.
+// Each dispatch compares the live heap top with every lane once, so the
+// firing order is exactly the one a single heap of all keys would give. The
+// heap stays shallow because self-rescheduling actors take most of their
+// ticks in place through AdvanceIfIdle instead of as queue events.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -47,8 +54,10 @@ class Event {
 
  private:
   friend class EventQueue;
+  static constexpr uint32_t kNoLane = UINT32_MAX;
   Tick when_ = 0;
-  uint64_t generation_ = 0;  // bumped on every (de)schedule to invalidate stale entries
+  uint64_t generation_ = 0;  // bumped on every heap (de)schedule to invalidate stale entries
+  uint32_t lane_ = kNoLane;  // slot in the queue's lane table, if it has one
   bool scheduled_ = false;
 };
 
@@ -97,6 +106,15 @@ class EventQueue {
     return true;
   }
 
+  // Gives `ev` its own lane: from now on its schedules, reschedules and
+  // cancels overwrite one slot instead of pushing heap entries, with firing
+  // order unchanged. For the few events rescheduled on almost every dispatch
+  // (one per core). Call once per event, while it is unscheduled. Every
+  // dispatch scans every lane, so keep them few. There is no unregister:
+  // the queue touches a lane's event only while it is scheduled, as with
+  // any Event.
+  void RegisterLane(Event* ev);
+
   // Schedules `ev` to fire at absolute tick `when`. If `ev` is already
   // scheduled it is rescheduled. A `when` in the past is clamped to now(), so
   // the clock never runs backwards when the entry fires.
@@ -124,8 +142,9 @@ class EventQueue {
   // in place through AdvanceIfIdle are not events and are not counted.
   uint64_t events_fired() const { return fired_count_; }
 
-  // Internal storage footprint including dead (rescheduled/cancelled)
-  // entries. Exposed so tests can assert dead-entry growth stays bounded.
+  // Heap storage footprint including dead (rescheduled/cancelled) entries;
+  // lanes take no heap entries. Exposed so tests can assert dead-entry
+  // growth stays bounded.
   size_t InternalEntryCount() const { return heap_.size(); }
 
   // Tick of the earliest live event, or Tick max if empty.
@@ -163,6 +182,18 @@ class EventQueue {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
+  // A lane's key while its event is scheduled. An idle lane holds the
+  // default key, which sorts after every scheduled one (sequence numbers
+  // never reach kIdleSeq), so a scan needs no scheduled check.
+  static constexpr uint64_t kIdleSeq = UINT64_MAX;
+  struct Lane {
+    Tick when = std::numeric_limits<Tick>::max();
+    uint64_t seq = kIdleSeq;
+    Event* ev = nullptr;
+  };
+  static bool Earlier(Tick aw, uint64_t as, Tick bw, uint64_t bs) {
+    return aw != bw ? aw < bw : as < bs;
+  }
 
   // A one-shot entry is live until popped; an Event entry goes dead when the
   // event is cancelled or rescheduled (its generation moves on).
@@ -176,9 +207,14 @@ class EventQueue {
   }
   void AddEntry(const Entry& entry);
   void PopTop();
+  void DropDeadTop();
   void MaybeCompact();
+  // Fires the earliest live event (heap top or lane) if its tick is <=
+  // `limit`; returns false, firing nothing, otherwise or when empty.
+  bool FireNext(Tick limit);
 
   std::vector<Entry> heap_;  // live entries plus not-yet-reclaimed dead ones
+  std::vector<Lane> lanes_;  // by Event::lane_
   // One-shot callbacks by slot. A slot is freed when its entry is popped,
   // after the callback has been moved out, so the callback may schedule
   // one-shots that reuse the slot.
@@ -187,10 +223,11 @@ class EventQueue {
   Tick now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t generation_counter_ = 0;
-  size_t live_count_ = 0;
+  size_t live_count_ = 0;  // heap entries plus lanes
+  size_t live_lanes_ = 0;
   uint64_t fired_count_ = 0;
   Tick advance_limit_ = 0;  // AdvanceIfIdle ceiling; raised inside RunUntil/RunAll
-  Tick next_live_lb_ = 0;   // <= earliest live tick; lowered by AddEntry
+  Tick next_live_lb_ = 0;   // <= earliest live tick; lowered by every schedule
 };
 
 }  // namespace casc

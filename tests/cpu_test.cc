@@ -600,6 +600,84 @@ TEST(CpuTest, TokenRingAcrossFourCores) {
   EXPECT_EQ(a.stats_json, b.stats_json);
 }
 
+// Pins cross-core event order within one cycle: three writer cores run the
+// same compute/store cadence, so their tick events land on the same cycles,
+// and their stores wake three monitoring waiters on a fourth core on one of
+// those cycles. Which waiter takes which of that core's two SMT slots
+// depends on the order the same-tick core ticks and wakes fire in. The
+// wake ticks and per-core counters below are golden values; a change to
+// same-tick order, such as a LIFO tie-break, moves them.
+constexpr Addr PinFlag(uint32_t c) { return 0x400000 + 0x100 * c; }
+
+TEST(CpuTest, SameCycleCrossCoreWakesArePinned) {
+  constexpr uint32_t kWriters = 3;
+  constexpr uint64_t kRounds = 6;
+  MachineConfig cfg;
+  cfg.num_cores = kWriters + 1;
+  cfg.hwt.threads_per_core = 4;
+  Machine m(cfg);
+  std::vector<std::vector<Tick>> stores(kWriters);
+  std::vector<std::vector<Tick>> wakes(kWriters);
+  for (uint32_t c = 0; c < kWriters; c++) {
+    m.Start(m.BindNative(
+        c, 0,
+        [&m, &stores, c](GuestContext& ctx) -> GuestTask {
+          co_await ctx.Compute(600);  // every waiter is parked in mwait by now
+          for (uint64_t k = 1; k <= kRounds; k++) {
+            co_await ctx.Compute(150);
+            stores[c].push_back(m.sim().now());
+            co_await ctx.Store(PinFlag(c), k);
+          }
+          co_await ctx.StopSelf();
+        },
+        /*supervisor=*/true));
+    m.Start(m.BindNative(
+        kWriters, c,
+        [&m, &wakes, c](GuestContext& ctx) -> GuestTask {
+          for (uint64_t k = 1; k <= kRounds; k++) {
+            for (;;) {
+              co_await ctx.Monitor(PinFlag(c));
+              if (co_await ctx.Load(PinFlag(c)) >= k) {
+                break;
+              }
+              co_await ctx.Mwait();
+            }
+            wakes[c].push_back(m.sim().now());
+            co_await ctx.Compute(2);
+          }
+          co_await ctx.StopSelf();
+        },
+        /*supervisor=*/true));
+  }
+  ASSERT_TRUE(m.RunToQuiescence());
+  ASSERT_FALSE(m.halted());
+  // The writers really do tick together: every round's store issues on one
+  // cycle on all three cores.
+  for (uint32_t c = 1; c < kWriters; c++) {
+    EXPECT_EQ(stores[c], stores[0]) << "writer " << c;
+  }
+  // Waiters 0 and 1 take core 3's two SMT slots at the wake cycle; waiter 2
+  // issues one cycle later.
+  const std::vector<std::vector<Tick>> want_wakes = {{852, 1062, 1216, 1370, 1524, 1678},
+                                                     {852, 1062, 1216, 1370, 1524, 1678},
+                                                     {853, 1063, 1217, 1371, 1525, 1679}};
+  EXPECT_EQ(wakes, want_wakes);
+  std::vector<uint64_t> insts;
+  std::vector<uint64_t> active;
+  std::vector<uint64_t> idle_wakeups;
+  for (uint32_t c = 0; c <= kWriters; c++) {
+    const std::string core = "cpu.core" + std::to_string(c);
+    insts.push_back(m.sim().stats().GetCounter(core + ".instructions"));
+    active.push_back(m.sim().stats().GetCounter(core + ".active_cycles"));
+    idle_wakeups.push_back(m.sim().stats().GetCounter(core + ".idle_wakeups"));
+  }
+  EXPECT_EQ(insts, (std::vector<uint64_t>{1507, 1507, 1507, 129}));
+  EXPECT_EQ(active, (std::vector<uint64_t>{1507, 1507, 1507, 80}));
+  EXPECT_EQ(idle_wakeups, (std::vector<uint64_t>{1, 1, 1, 7}));
+  EXPECT_EQ(m.sim().now(), 1682u);
+  EXPECT_EQ(stores[0], (std::vector<Tick>{770, 980, 1134, 1288, 1442, 1596}));
+}
+
 // RunFor(x) returns with the clock at exactly x while every core is busy
 // (each core takes its ticks in place up to the limit), at any core count —
 // including more than 64 cores.

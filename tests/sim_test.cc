@@ -235,7 +235,10 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   // against a brute-force reference model ordered by (when, schedule-seq).
   // Every kSpawnEvery-th one-shot, while it fires, schedules a child one-shot
   // and reschedules a pool event, so a callback slot freed by the firing
-  // entry is reused while that entry's callback is still running.
+  // entry is reused while that entry's callback is still running. Half the
+  // pool events are lanes, and half the random ticks snap to a coarse grid,
+  // so lanes, heap events and one-shots often share a tick and their
+  // relative order rests on the schedule sequence alone.
   EventQueue q;
   Rng rng(2026);
   std::vector<int> got;
@@ -251,12 +254,23 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   Tick model_now = 0;
   int next_id = 0;
 
-  constexpr int kPool = 6;  // reusable events; slot i fires id 1000000 + i
+  constexpr int kPool = 6;   // reusable events; slot i fires id 1000000 + i
+  constexpr int kLanes = 3;  // pool slots [0, kLanes) are lanes
   std::vector<std::unique_ptr<LambdaEvent<std::function<void()>>>> pool;
   for (int i = 0; i < kPool; i++) {
     pool.push_back(std::make_unique<LambdaEvent<std::function<void()>>>(
         [&got, i] { got.push_back(1000000 + i); }));
+    if (i < kLanes) {
+      q.RegisterLane(pool.back().get());
+    }
   }
+  // A tick up to `span` past model_now; half the time rounded up to a
+  // multiple of kGrid, which makes same-tick collisions common.
+  constexpr Tick kGrid = 256;
+  auto draw_when = [&](Tick span) {
+    const Tick when = model_now + rng.NextBounded(span);
+    return rng.NextBounded(2) == 0 ? when : when + (kGrid - when % kGrid) % kGrid;
+  };
   // A spawning one-shot `id` firing at `now` schedules child 2000000 + id at
   // now + id % 7, then reschedules pool event id % kPool to now + (id % 13) * 97.
   constexpr int kSpawnEvery = 5;
@@ -301,7 +315,7 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   for (int step = 0; step < 4000; step++) {
     const uint64_t op = rng.NextBounded(100);
     if (op < 40) {
-      const Tick when = model_now + rng.NextBounded(3 * kFar);
+      const Tick when = draw_when(3 * kFar);
       const int id = next_id++;
       ref.push_back({when, next_seq++, id});
       q.ScheduleFn(when, one_shot(id));
@@ -309,7 +323,7 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
       // A burst of reschedules leaves dead entries behind for compaction.
       const int i = static_cast<int>(rng.NextBounded(kPool));
       for (uint64_t n = 1 + rng.NextBounded(32); n > 0; n--) {
-        const Tick when = model_now + rng.NextBounded(3 * kFar);
+        const Tick when = draw_when(3 * kFar);
         ref_erase_slot(i);  // a reschedule supersedes the earlier entry
         ref.push_back({when, next_seq++, 1000000 + i});
         q.Schedule(pool[i].get(), when);
@@ -343,6 +357,9 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
     }
     ASSERT_EQ(got, want) << "diverged at step " << step;
     ASSERT_EQ(q.LiveCount(), ref.size()) << "at step " << step;
+    const size_t j = ref_min();
+    ASSERT_EQ(q.NextTick(), j == SIZE_MAX ? std::numeric_limits<Tick>::max() : ref[j].when)
+        << "at step " << step;
     // Compaction keeps dead entries from outnumbering live ones past 64.
     ASSERT_LE(q.InternalEntryCount(), std::max<size_t>(63, 2 * q.LiveCount()))
         << "at step " << step;
@@ -357,6 +374,159 @@ TEST(EventQueueTest, RandomizedDifferentialAgainstReferenceModel) {
   }
   EXPECT_EQ(got, want);
   EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, LaneAndHeapEventsKeepSameTickFifo) {
+  // A lane takes no heap entry, but its key comes from the same schedule
+  // sequence: same-tick events fire in schedule order whichever side they
+  // live on, in both schedule orders, and between two lanes.
+  for (const bool lane_first : {true, false}) {
+    EventQueue q;
+    std::vector<int> order;
+    LambdaEvent lane([&] { order.push_back(1); });
+    LambdaEvent heap([&] { order.push_back(2); });
+    q.RegisterLane(&lane);
+    if (lane_first) {
+      q.Schedule(&lane, 10);
+      q.Schedule(&heap, 10);
+      q.ScheduleFn(10, [&] { order.push_back(3); });
+    } else {
+      q.Schedule(&heap, 10);
+      q.ScheduleFn(10, [&] { order.push_back(3); });
+      q.Schedule(&lane, 10);
+    }
+    q.RunAll();
+    const std::vector<int> expected =
+        lane_first ? std::vector<int>{1, 2, 3} : std::vector<int>{2, 3, 1};
+    EXPECT_EQ(order, expected) << "lane_first=" << lane_first;
+  }
+  EventQueue q;
+  std::vector<int> order;
+  LambdaEvent a([&] { order.push_back(1); });
+  LambdaEvent b([&] { order.push_back(2); });
+  q.RegisterLane(&a);
+  q.RegisterLane(&b);
+  q.Schedule(&b, 5);  // the later-registered lane is scheduled first
+  q.Schedule(&a, 5);
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(q.events_fired(), 2u);  // lane fires count as dispatches
+}
+
+TEST(EventQueueTest, LaneRescheduleAndDeschedule) {
+  EventQueue q;
+  std::vector<std::pair<Tick, int>> log;
+  LambdaEvent lane([&] { log.emplace_back(q.now(), 1); });
+  q.RegisterLane(&lane);
+  // Earlier: the lane moves ahead of a heap event it used to follow.
+  q.Schedule(&lane, 50);
+  q.ScheduleFn(30, [&] { log.emplace_back(q.now(), 2); });
+  q.Schedule(&lane, 20);
+  EXPECT_EQ(lane.when(), 20u);
+  // Later: the lane moves behind a heap event it used to precede.
+  q.ScheduleFn(60, [&] {
+    log.emplace_back(q.now(), 3);
+    q.Schedule(&lane, 70);
+    q.ScheduleFn(80, [&] { log.emplace_back(q.now(), 4); });
+    q.Schedule(&lane, 90);
+  });
+  q.RunAll();
+  const std::vector<std::pair<Tick, int>> expected = {
+      {20, 1}, {30, 2}, {60, 3}, {80, 4}, {90, 1}};
+  EXPECT_EQ(log, expected);
+  EXPECT_FALSE(lane.scheduled());
+  // Deschedule: the lane never fires, and is reusable afterwards.
+  q.Schedule(&lane, 100);
+  q.Deschedule(&lane);
+  q.Deschedule(&lane);  // safe on an unscheduled lane
+  EXPECT_FALSE(lane.scheduled());
+  EXPECT_TRUE(q.Empty());
+  q.RunAll();
+  EXPECT_EQ(log.size(), expected.size());
+  q.Schedule(&lane, 110);
+  q.RunAll();
+  EXPECT_EQ(log.back(), (std::pair<Tick, int>{110, 1}));
+}
+
+TEST(EventQueueTest, NextTickAndLiveCountIncludeLanes) {
+  EventQueue q;
+  LambdaEvent lane([] {});
+  q.RegisterLane(&lane);
+  EXPECT_EQ(q.NextTick(), std::numeric_limits<Tick>::max());
+  q.Schedule(&lane, 7);
+  EXPECT_EQ(q.NextTick(), 7u);
+  EXPECT_EQ(q.LiveCount(), 1u);
+  EXPECT_FALSE(q.Empty());
+  q.ScheduleFn(5, [] {});
+  EXPECT_EQ(q.NextTick(), 5u);
+  EXPECT_EQ(q.LiveCount(), 2u);
+  q.Schedule(&lane, 3);  // a reschedule is not a second live event
+  EXPECT_EQ(q.NextTick(), 3u);
+  EXPECT_EQ(q.LiveCount(), 2u);
+  q.Deschedule(&lane);
+  EXPECT_EQ(q.NextTick(), 5u);
+  EXPECT_EQ(q.LiveCount(), 1u);
+  q.RunAll();
+  EXPECT_TRUE(q.Empty());
+  // A past tick clamps to now(), as on the heap.
+  q.RunUntil(100);
+  q.Schedule(&lane, 40);
+  EXPECT_EQ(lane.when(), 100u);
+  EXPECT_EQ(q.NextTick(), 100u);
+  EXPECT_TRUE(q.RunOne());
+  EXPECT_EQ(q.now(), 100u);
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, AdvanceIfIdleStopsAtLaneTick) {
+  // A scheduled lane is a live event to the quiet-advance check: an actor
+  // may run up to just before its tick but not onto it, and a lane armed
+  // mid-chain lowers the bound at once.
+  EventQueue q;
+  std::vector<std::pair<Tick, int>> log;
+  LambdaEvent lane([&] { log.emplace_back(q.now(), 1); });
+  q.RegisterLane(&lane);
+  bool before_ok = false;
+  bool at_ok = true;
+  bool armed_blocks = true;
+  bool up_to_armed = false;
+  q.Schedule(&lane, 50);
+  q.ScheduleFn(10, [&] {
+    before_ok = q.AdvanceIfIdle(49);
+    at_ok = q.AdvanceIfIdle(50);
+    log.emplace_back(q.now(), 2);
+  });
+  q.ScheduleFn(60, [&] {
+    q.Schedule(&lane, 80);
+    armed_blocks = q.AdvanceIfIdle(90);
+    up_to_armed = q.AdvanceIfIdle(79);
+    log.emplace_back(q.now(), 3);
+  });
+  q.RunAll();
+  EXPECT_TRUE(before_ok);
+  EXPECT_FALSE(at_ok);
+  EXPECT_FALSE(armed_blocks);
+  EXPECT_TRUE(up_to_armed);
+  const std::vector<std::pair<Tick, int>> expected = {{49, 2}, {50, 1}, {79, 3}, {80, 1}};
+  EXPECT_EQ(log, expected);
+}
+
+TEST(EventQueueTest, LaneRescheduleAddsNoHeapEntries) {
+  EventQueue q;
+  LambdaEvent lane([] {});
+  q.RegisterLane(&lane);
+  q.ScheduleFn(20000, [] {});
+  for (Tick t = 1; t <= 10000; t++) {
+    q.Schedule(&lane, t);
+    EXPECT_EQ(q.InternalEntryCount(), 1u);
+  }
+  for (int i = 0; i < 1000; i++) {
+    q.Deschedule(&lane);
+    q.Schedule(&lane, q.now() + 1 + i);
+  }
+  EXPECT_EQ(q.InternalEntryCount(), 1u);
+  EXPECT_EQ(q.LiveCount(), 2u);
+  EXPECT_EQ(q.RunAll(), 2u);
 }
 
 TEST(EventQueueTest, SchedulePastTickClampsToNow) {

@@ -14,8 +14,11 @@
 #     only the rows both builds report: a row one side lacks (the bench
 #     gained or lost a row) is named on stderr, not compared;
 #   * casc_run `--stats-json` on tests/corpus/*.casm and examples/asm/*.casm
-#     at the default config and `--cores=2` (exit code, stdout, stderr and
-#     stats dump);
+#     at the default config, at `--cores=2`, and at `--cores=4
+#     --threads-per-core=1` (exit code, stdout, stderr and stats dump). With
+#     the default 64 threads per core, `--cores=2` still places every
+#     harness thread on core 0; the 4x1 run spreads t0..t3 over four cores,
+#     so cross-core tick ordering is compared too;
 #   * casc_chaos `--scenario=all` at seeds 1/7/42;
 #   * casc_fuzz `--seed=3 --iters=300`.
 #
@@ -131,6 +134,8 @@ for prog in "$root"/tests/corpus/*.casm "$root"/examples/asm/*.casm; do
   compare "$tag" rc stdout stderr json
   run_both "${tag}_c2" tools/casc_run "$rel" --cores=2 --stats-json=@JSON@
   compare "${tag}_c2" rc stdout stderr json
+  run_both "${tag}_c4" tools/casc_run "$rel" --cores=4 --threads-per-core=1 --stats-json=@JSON@
+  compare "${tag}_c4" rc stdout stderr json
 done
 
 for seed in 1 7 42; do
