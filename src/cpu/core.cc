@@ -93,6 +93,7 @@ void Core::BindNative(Ptid ptid, NativeProgram program) {
   NativeState& ns = native_[ptid - ptid_base_];
   ns = NativeState{};
   ns.program = std::move(program);
+  any_native_ = true;
 }
 
 void Core::Kick() {
@@ -181,13 +182,72 @@ void Core::Cycle() {
       break;
     }
     if (!sim_.queue().AdvanceIfIdle(next)) {
-      sim_.queue().Schedule(&tick_event_, next);
+      // The chain ends here. The lane learns whether its coming ticks are
+      // quiet, so the queue can step them in bulk with other quiet cores.
+      // Asking only here, once per dispatch, costs nothing per tick for
+      // cores that are never quiet.
+      ScheduleLane(next);
       break;
     }
     now = next;
   }
   stat_instructions_ += insts;
   stat_active_cycles_ += active_cycles;
+}
+
+void Core::ScheduleLane(Tick next) {
+  quiet_gen_ = ts_.queue(id_).generation();
+  quiet_until_ = QuietUntil(next);
+  sim_.queue().Schedule(&tick_event_, next);
+}
+
+Tick Core::QuietUntil(Tick at) const {
+  const SchedQueue& q = ts_.queue(id_);
+  const size_t n = q.Size();
+  if (!any_native_ || n == 0 || n > ts_.config().smt_width || ts_.halted()) {
+    return at;
+  }
+  Tick until = std::numeric_limits<Tick>::max();
+  for (size_t i = 0; i < n; i++) {
+    const HwThread& t = *q.thread_at(i);
+    if (t.state() != ThreadState::kRunnable || t.ready_at() > at || ts_.NeedsRestore(t.ptid())) {
+      return at;
+    }
+    const NativeState& ns = native_[t.ptid() - ptid_base_];
+    if (!ns.program || !ns.task.valid() || ns.task.done() || ns.ctx->faulted() ||
+        ns.ctx->pending().kind != GuestOp::Kind::kCompute) {
+      return at;
+    }
+    // StepNative burns one cycle per pick and completes the op on the pick
+    // that finds at most one cycle left; the next pick resumes the task.
+    const Tick cycles = std::max<Tick>(1, ns.ctx->pending().cycles);
+    until = std::min(until, cycles > until - at ? until : at + cycles);
+  }
+  return until;
+}
+
+void Core::AdvanceQuiet(Tick from, Tick to) {
+  // k quiet Cycle ticks: every thread is picked each tick, in rotation order
+  // from the cursor, steps one compute cycle (ready again the next tick) and
+  // is touched; each tick retires one instruction per thread.
+  const uint64_t k = to - from;
+  SchedQueue& q = ts_.queue(id_);
+  const uint32_t n = q.PickAllFor(k, picked_.data());
+  for (uint32_t i = 0; i < n; i++) {
+    HwThread* t = picked_[i];
+    GuestContext& ctx = *native_[t->ptid() - ptid_base_].ctx;
+    GuestOp& op = ctx.pending();
+    assert(op.kind == GuestOp::Kind::kCompute && k <= std::max<Tick>(1, op.cycles));
+    if (op.cycles > k) {
+      op.cycles -= k;
+    } else {
+      ctx.Complete(0);
+    }
+    t->set_ready_at(to);
+  }
+  ts_.store(id_).TouchRepeated(k, picked_.data(), n);
+  stat_instructions_ += k * n;
+  stat_active_cycles_ += k;
 }
 
 Tick Core::Step(HwThread& t) {

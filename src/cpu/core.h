@@ -15,6 +15,7 @@
 #ifndef SRC_CPU_CORE_H_
 #define SRC_CPU_CORE_H_
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -115,9 +116,12 @@ class Core {
 
   // The per-cycle tick fires every simulated tick the core is active; a
   // devirtualizable member call avoids std::function dispatch on that path.
+  // It is the core's event-queue lane, and reports the core's quiet ticks.
   struct TickEvent final : public Event {
     explicit TickEvent(Core* c) : core(c) {}
     void Fire() override { core->Cycle(); }
+    Tick QuietUntil() const override { return core->LaneQuietUntil(); }
+    void AdvanceQuiet(Tick from, Tick to) override { core->AdvanceQuiet(from, to); }
     Core* core;
   };
 
@@ -155,6 +159,31 @@ class Core {
   };
 
   void Cycle();
+  // Quiet ticks (DESIGN.md §4e "Quiet lanes"). A tick is quiet when every
+  // thread in the rotation is a ready, restored native thread whose live
+  // task is mid-Compute, and the rotation fits the SMT slots: every thread
+  // is picked and burns one compute cycle, touching only this core's state.
+  // QuietUntil returns the first tick >= `at` that is not quiet, assuming
+  // the core ticks at `at` (so `at` itself when `at` is not quiet).
+  Tick QuietUntil(Tick at) const;
+  // Ends an in-place tick chain: caches QuietUntil(next) for the lane and
+  // schedules it. Out of line, so that Cycle's per-tick loop compiles as it
+  // did before quiet lanes for the cores that are never quiet.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((noinline))
+#endif
+  void ScheduleLane(Tick next);
+  // The lane's answer: the cached QuietUntil while no sched-queue change
+  // or halt has made it stale, else the lane's own tick (not quiet).
+  Tick LaneQuietUntil() const {
+    const Tick at = tick_event_.when();
+    if (ts_.halted() || ts_.queue(id_).generation() != quiet_gen_) {
+      return at;
+    }
+    return std::max(at, quiet_until_);
+  }
+  // Applies the quiet ticks [from, to) in closed form.
+  void AdvanceQuiet(Tick from, Tick to);
   void FillPredecodeLine(PredecodedLine& line, Addr base);
   void InvalidatePredecodeLine(Addr line) {
     // Unconditional: clearing an aliased entry only costs a future refill.
@@ -311,6 +340,13 @@ class Core {
   StatsRegistry::CounterHandle stat_instructions_;
   StatsRegistry::CounterHandle stat_active_cycles_;
   StatsRegistry::CounterHandle stat_idle_wakeups_;
+  // QuietUntil cache for the lane, taken by Cycle when it schedules the
+  // lane. Until the lane fires, only other events can change this core's
+  // threads, and every wake, block or stop changes the sched-queue
+  // generation; bulk steps keep the cache true.
+  Tick quiet_until_ = 0;
+  uint64_t quiet_gen_ = 0;  // sched-queue generation the cache was taken at
+  bool any_native_ = false;  // a core with no native thread is never quiet
 };
 
 }  // namespace casc

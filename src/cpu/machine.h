@@ -72,7 +72,9 @@ class Machine {
   // Runs until the event queue drains or the machine halts. Returns false if
   // the event cap was hit (runaway guard). `max_events` counts dispatched
   // events only: ticks a core takes in place (EventQueue::AdvanceIfIdle) are
-  // free, so the cap bounds dispatches, not simulated cycles.
+  // free, and a bulk step of quiet core ticks counts once however many
+  // cores and cycles it covers, so the cap bounds dispatches, not simulated
+  // cycles.
   bool RunToQuiescence(uint64_t max_events = 200'000'000);
   // Fires every event up to and including `limit`, stopping early on a
   // machine halt, without advancing the clock past the last event actually

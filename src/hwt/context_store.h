@@ -6,6 +6,7 @@
 #ifndef SRC_HWT_CONTEXT_STORE_H_
 #define SRC_HWT_CONTEXT_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +43,22 @@ class ContextStore {
     rf_pos_[ptid].stamp = ++use_clock_;
   }
 
+  // Same as `k` >= 1 rounds of Touch over order[0..n), in closed form: only
+  // the last round's stamps survive, so the use-clock skips the k - 1
+  // earlier rounds (one tick per resident thread each) and the last round
+  // touches in order.
+  void TouchRepeated(uint64_t k, HwThread* const* order, size_t n) {
+    uint64_t resident = 0;
+    for (size_t i = 0; i < n; i++) {
+      const Ptid ptid = order[i]->ptid();
+      resident += ptid < rf_pos_.size() && rf_pos_[ptid].resident;
+    }
+    use_clock_ += (k - 1) * resident;
+    for (size_t i = 0; i < n; i++) {
+      Touch(*order[i]);
+    }
+  }
+
   // Restore latency if the thread had to be fetched from its current tier
   // right now, without side effects.
   Tick RestoreLatency(const HwThread& thread) const;
@@ -52,6 +69,9 @@ class ContextStore {
   // invariant l2_used() <= l2_slots / l3_used() <= l3_slots.
   uint32_t l2_used() const { return l2_used_; }
   uint32_t l3_used() const { return l3_used_; }
+
+  // Test support: the thread's LRU stamp (0 if it was never RF-resident).
+  uint64_t lru_stamp(Ptid ptid) const { return ptid < rf_pos_.size() ? rf_pos_[ptid].stamp : 0; }
 
   // Test/bench support: forcibly places a thread's saved state in `tier`,
   // releasing any slot it held (so e.g. repeated DRAM-tier wakes can be

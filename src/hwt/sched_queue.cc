@@ -1,8 +1,8 @@
 #include "src/hwt/sched_queue.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <limits>
 
 namespace casc {
 
@@ -38,14 +38,47 @@ void SchedQueue::Remove(Ptid ptid) {
   }
 }
 
-Tick SchedQueue::NextReadyTick(Tick now) const {
-  Tick best = std::numeric_limits<Tick>::max();
-  for (const Slot& s : rotation_) {
-    if (s.thread->state() == ThreadState::kRunnable && s.thread->ready_at() > now) {
-      best = std::min(best, s.thread->ready_at());
+uint32_t SchedQueue::PickAllFor(uint64_t k, HwThread** out) {
+  assert(k > 0 && !rotation_.empty());
+  const size_t n = rotation_.size();
+  // Each round below is one head's turn: it takes max(1, credits) picks (a
+  // pick burns one credit; the last one refills the slot and moves the
+  // cursor on), or the remaining k if fewer.
+  size_t head = cursor_;  // cursor of the last pick applied
+  size_t handoffs = 0;
+  while (k > 0) {
+    if (handoffs == n) {
+      uint64_t period = 0;
+      for (const Slot& s : rotation_) {
+        period += FullCredits(*s.thread);
+      }
+      k %= period;  // state after a whole period is the state now
+      handoffs++;   // reduce once
+      if (k == 0) {
+        break;  // `head` already names the last handoff's slot
+      }
+    }
+    Slot& s = rotation_[cursor_];
+    const uint64_t credits = std::max<uint64_t>(1, s.credits);
+    head = cursor_;
+    if (k < credits) {
+      s.credits = credits - k;
+      break;
+    }
+    k -= credits;
+    s.credits = FullCredits(*s.thread);
+    if (++cursor_ == n) {
+      cursor_ = 0;
+    }
+    handoffs++;
+  }
+  for (size_t i = 0, idx = head; i < n; i++) {
+    out[i] = rotation_[idx].thread;
+    if (++idx == n) {
+      idx = 0;
     }
   }
-  return best;
+  return static_cast<uint32_t>(n);
 }
 
 }  // namespace casc

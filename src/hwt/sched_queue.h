@@ -112,8 +112,22 @@ class SchedQueue {
     return picked;
   }
 
+  // Applies `k` >= 1 consecutive picks in which every thread in the
+  // rotation is ready and fits an SMT slot (Core's quiet ticks): the cursor
+  // and credit moves of k PickUpTo calls, in closed form. Writes the last
+  // pick's order (the whole rotation, from that pick's cursor) to `out`,
+  // which must hold Size() slots, and returns Size().
+  //
+  // Once every slot has handed the cursor on, all credits are full and the
+  // picks repeat with period sum(FullCredits), so k shrinks modulo it. Not
+  // before: a slot the cursor once skipped while it was not ready may still
+  // hold partial credits.
+  uint32_t PickAllFor(uint64_t k, HwThread** out);
+
   bool Empty() const { return rotation_.empty(); }
   size_t Size() const { return rotation_.size(); }
+  // The i-th thread in rotation order (not from the cursor), i < Size().
+  HwThread* thread_at(size_t i) const { return rotation_[i].thread; }
 
   // Bumped by every Add/Remove call (even ones that turn out to be no-ops):
   // an unchanged generation across a stretch of Steps guarantees that no
@@ -122,11 +136,6 @@ class SchedQueue {
   // Add or Remove. Core::Cycle uses this to validate the single-scan
   // next-work-tick reconstruction.
   uint64_t generation() const { return generation_; }
-
-  // Earliest ready_at among queued threads that are not yet ready at `now`;
-  // Tick max if all are ready or the queue is empty. Used by the core to
-  // sleep precisely while restores are in flight.
-  Tick NextReadyTick(Tick now) const;
 
   // Earliest tick >= `after` at which some runnable thread can issue; Tick
   // max if the rotation holds no runnable threads.
@@ -147,9 +156,6 @@ class SchedQueue {
   };
 
   static uint64_t FullCredits(const HwThread& t) { return std::max<uint64_t>(1, t.arch().prio); }
-  static bool Ready(const HwThread& t, Tick now) {
-    return t.state() == ThreadState::kRunnable && t.ready_at() <= now;
-  }
 
   std::vector<Slot> rotation_;
   size_t cursor_ = 0;

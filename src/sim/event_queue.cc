@@ -109,14 +109,15 @@ Tick EventQueue::NextTick() const {
   return next;
 }
 
-bool EventQueue::FireNext(Tick limit) {
+bool EventQueue::FireNext(Tick limit, bool bulk) {
   DropDeadTop();
-  Tick when = std::numeric_limits<Tick>::max();
+  Tick heap_when = std::numeric_limits<Tick>::max();
   uint64_t seq = kIdleSeq;
   if (!heap_.empty()) {
-    when = heap_.front().when;
+    heap_when = heap_.front().when;
     seq = heap_.front().seq;
   }
+  Tick when = heap_when;
   Lane* lane = nullptr;
   for (Lane& l : lanes_) {
     if (Earlier(l.when, l.seq, when, seq)) {
@@ -127,6 +128,9 @@ bool EventQueue::FireNext(Tick limit) {
   }
   if (seq == kIdleSeq || when > limit) {
     return false;  // empty, or the earliest live event lies beyond `limit`
+  }
+  if (lane != nullptr && bulk && lane->ev->QuietUntil() > when && StepQuietLanes(heap_when)) {
+    return true;
   }
   now_ = when;
   live_count_--;
@@ -155,12 +159,59 @@ bool EventQueue::FireNext(Tick limit) {
   return true;
 }
 
-bool EventQueue::RunOne() { return FireNext(std::numeric_limits<Tick>::max()); }
+// Called when the earliest key is a lane that reports quiet ticks. The step
+// ends at x, the minimum of the live heap top, AdvanceIfIdle's ceiling + 1,
+// and every scheduled lane's QuietUntil(). Nothing but quiet lane ticks can
+// happen before x: no heap event is due, and every lane due before x is
+// quiet up to x. Quiet ticks of different lanes commute, so each of those
+// lanes applies [when, x) in one AdvanceQuiet call.
+//
+// They are then re-keyed at x in the order one-tick stepping leaves: a lane
+// ticking one at a time draws a fresh sequence number at every tick, so at
+// each tick the lanes that only just became due (keys from before the step)
+// fire ahead of the ones already ticking, in their old order. Unrolled, that
+// is old tick descending, then old sequence ascending. Fresh numbers also
+// keep every key already at x (heap or lane) ahead of the re-keyed lanes,
+// as it was there first. now() ends at x - 1, the last tick stepped.
+bool EventQueue::StepQuietLanes(Tick heap_when) {
+  constexpr Tick kMax = std::numeric_limits<Tick>::max();
+  Tick x = std::min(heap_when, advance_limit_ == kMax ? kMax : advance_limit_ + 1);
+  // A lane skipped here has when >= x at the time, so when >= the final x:
+  // its QuietUntil() (never below when) cannot lower x further.
+  for (const Lane& l : lanes_) {
+    if (l.when < x) {
+      x = std::min(x, l.ev->QuietUntil());
+    }
+  }
+  quiet_.clear();
+  for (Lane& l : lanes_) {
+    if (l.when < x) {
+      quiet_.push_back(&l);
+    }
+  }
+  if (quiet_.empty()) {
+    return false;
+  }
+  std::sort(quiet_.begin(), quiet_.end(), [](const Lane* a, const Lane* b) {
+    return a->when != b->when ? a->when > b->when : a->seq < b->seq;
+  });
+  now_ = x - 1;
+  fired_count_++;
+  for (Lane* l : quiet_) {
+    l->ev->AdvanceQuiet(l->when, x);
+    l->when = x;
+    l->seq = next_seq_++;
+    l->ev->when_ = x;
+  }
+  return true;
+}
+
+bool EventQueue::RunOne() { return FireNext(std::numeric_limits<Tick>::max(), /*bulk=*/false); }
 
 void EventQueue::RunUntil(Tick limit) {
   const Tick saved_limit = advance_limit_;
   advance_limit_ = limit;
-  while (FireNext(limit)) {
+  while (FireNext(limit, /*bulk=*/true)) {
   }
   advance_limit_ = saved_limit;
   now_ = std::max(now_, limit);
@@ -170,7 +221,7 @@ uint64_t EventQueue::RunAll(uint64_t max_events) {
   const Tick saved_limit = advance_limit_;
   advance_limit_ = std::numeric_limits<Tick>::max();
   uint64_t fired = 0;
-  while (fired < max_events && FireNext(std::numeric_limits<Tick>::max())) {
+  while (fired < max_events && FireNext(std::numeric_limits<Tick>::max(), /*bulk=*/true)) {
     fired++;
   }
   advance_limit_ = saved_limit;
@@ -181,7 +232,7 @@ uint64_t EventQueue::RunWhile(Tick limit, const std::function<bool()>& pred) {
   const Tick saved_limit = advance_limit_;
   advance_limit_ = limit;
   uint64_t fired = 0;
-  while (pred() && FireNext(limit)) {
+  while (pred() && FireNext(limit, /*bulk=*/true)) {
     fired++;
   }
   advance_limit_ = saved_limit;

@@ -22,6 +22,14 @@
 // firing order is exactly the one a single heap of all keys would give. The
 // heap stays shallow because self-rescheduling actors take most of their
 // ticks in place through AdvanceIfIdle instead of as queue events.
+//
+// Quiet lanes: a lane event whose next ticks touch nothing outside itself
+// (a core whose every thread is mid-Compute) says so through
+// Event::QuietUntil. When the earliest key is such a lane, one dispatch
+// advances every lane due before the next tick anything else could happen
+// (a bulk step, see FireNext), and re-keys them in the order one-tick
+// stepping would have left. Ticks, state and firing order are unchanged;
+// the bulk step counts as one dispatch in events_fired().
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -48,6 +56,16 @@ class Event {
   Event& operator=(const Event&) = delete;
 
   virtual void Fire() = 0;
+
+  // Quiet lanes (lane events only; see the header comment). The first tick
+  // >= when() at which firing this event is not quiet: ticks in [when(),
+  // QuietUntil()) may be applied by AdvanceQuiet instead of Fire, because
+  // they change nothing but this event's own state. Asked only while the
+  // event is scheduled; the default, when(), means "never quiet".
+  virtual Tick QuietUntil() const { return when_; }
+  // Applies the quiet ticks [from, to) in one step, with to <=
+  // QuietUntil(). The queue then re-keys the event at `to`.
+  virtual void AdvanceQuiet(Tick /*from*/, Tick /*to*/) {}
 
   bool scheduled() const { return scheduled_; }
   Tick when() const { return when_; }
@@ -139,7 +157,9 @@ class EventQueue {
 
   // Total events dispatched since construction (reusable + one-shot). Used
   // by the host-throughput bench to derive events/sec. Ticks an actor takes
-  // in place through AdvanceIfIdle are not events and are not counted.
+  // in place through AdvanceIfIdle are not events and are not counted, and
+  // a bulk step of quiet lanes counts as one dispatch however many lanes
+  // and ticks it covers.
   uint64_t events_fired() const { return fired_count_; }
 
   // Heap storage footprint including dead (rescheduled/cancelled) entries;
@@ -150,7 +170,9 @@ class EventQueue {
   // Tick of the earliest live event, or Tick max if empty.
   Tick NextTick() const;
 
-  // Fires the earliest event. Returns false if the queue is empty.
+  // Fires the earliest event. Returns false if the queue is empty. Never
+  // takes a bulk step of quiet lanes: one dispatch is one event at one tick,
+  // which makes a RunOne loop the one-tick reference for RunUntil.
   bool RunOne();
 
   // Runs events with when <= limit; afterwards now() == max(now, limit).
@@ -210,8 +232,13 @@ class EventQueue {
   void DropDeadTop();
   void MaybeCompact();
   // Fires the earliest live event (heap top or lane) if its tick is <=
-  // `limit`; returns false, firing nothing, otherwise or when empty.
-  bool FireNext(Tick limit);
+  // `limit`; returns false, firing nothing, otherwise or when empty. With
+  // `bulk`, an earliest key that is a quiet lane may instead take a bulk
+  // step (StepQuietLanes), which also returns true.
+  bool FireNext(Tick limit, bool bulk);
+  // The bulk step: see the definition. Returns false, changing nothing, if
+  // no lane is due before the step's end.
+  bool StepQuietLanes(Tick heap_when);
 
   std::vector<Entry> heap_;  // live entries plus not-yet-reclaimed dead ones
   std::vector<Lane> lanes_;  // by Event::lane_
@@ -228,6 +255,8 @@ class EventQueue {
   uint64_t fired_count_ = 0;
   Tick advance_limit_ = 0;  // AdvanceIfIdle ceiling; raised inside RunUntil/RunAll
   Tick next_live_lb_ = 0;   // <= earliest live tick; lowered by every schedule
+  // Last, so the fields AdvanceIfIdle reads every tick keep their offsets.
+  std::vector<Lane*> quiet_;  // StepQuietLanes scratch
 };
 
 }  // namespace casc

@@ -4,12 +4,16 @@
 // integration.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/hwt/context_store.h"
 #include "src/hwt/exception.h"
 #include "src/hwt/sched_queue.h"
 #include "src/hwt/tdt.h"
 #include "src/hwt/thread_system.h"
 #include "src/mem/memory_system.h"
+#include "src/sim/rng.h"
 #include "src/sim/simulation.h"
 
 namespace casc {
@@ -389,6 +393,29 @@ TEST_F(HwtTest, CsrPrivilegeEnforced) {
   EXPECT_EQ(ts_.thread(0).arch().prio, 8u);
 }
 
+TEST_F(HwtTest, TouchRepeatedMatchesRepeatedTouch) {
+  // rf_slots = 4: ptids 0-3 are register-file resident, 5 and 9 are not.
+  std::vector<HwThread*> order = {&ts_.thread(2), &ts_.thread(5), &ts_.thread(0),
+                                  &ts_.thread(9), &ts_.thread(3)};
+  for (const uint64_t k : {1u, 2u, 7u, 100u}) {
+    ContextStore bulk = ts_.store(0);
+    ContextStore stepped = ts_.store(0);
+    bulk.TouchRepeated(k, order.data(), order.size());
+    for (uint64_t i = 0; i < k; i++) {
+      for (HwThread* t : order) {
+        stepped.Touch(*t);
+      }
+    }
+    for (Ptid p = 0; p < 16; p++) {
+      EXPECT_EQ(bulk.lru_stamp(p), stepped.lru_stamp(p)) << "k " << k << " ptid " << p;
+    }
+    // The use-clock moved the same way too: the next touch stamps equal.
+    bulk.Touch(ts_.thread(1));
+    stepped.Touch(ts_.thread(1));
+    EXPECT_EQ(bulk.lru_stamp(1), stepped.lru_stamp(1)) << "k " << k;
+  }
+}
+
 TEST_F(HwtTest, ContextStoreTiersByOccupancy) {
   // rf_slots=4, l2=4, l3=4, 16 threads/core: the first 4 admit to RF, then
   // spill L2 (4), L3 (4), DRAM (rest).
@@ -570,9 +597,98 @@ TEST(SchedQueueTest, SkipsThreadsStillRestoring) {
   q.PickUpTo(10, 2, &picked);
   ASSERT_EQ(picked.size(), 1u);
   EXPECT_EQ(picked[0]->ptid(), 1u);
-  EXPECT_EQ(q.NextReadyTick(10), 50u);
   q.PickUpTo(50, 2, &picked);
   EXPECT_EQ(picked.size(), 2u);
+}
+
+// PickAllFor(k) is k full PickUpTo calls in closed form: same last-pick
+// order, and the same cursor and credits afterwards (probed by one-wide
+// picks). Starts are randomized with partial credits, including on slots
+// the cursor skipped while their thread was not ready.
+TEST(SchedQueueTest, PickAllForMatchesRepeatedPicks) {
+  Rng rng(11);
+  for (int iter = 0; iter < 2000; iter++) {
+    const uint32_t n = static_cast<uint32_t>(rng.NextRange(1, 4));
+    std::vector<std::unique_ptr<HwThread>> threads;
+    SchedQueue q;
+    for (uint32_t i = 0; i < n; i++) {
+      threads.push_back(std::make_unique<HwThread>(i, 0));
+      threads.back()->set_state(ThreadState::kRunnable);
+      threads.back()->arch().prio = rng.NextRange(1, 4);
+      q.Add(threads.back().get());
+    }
+    // Warm-up: picks at ticks where some threads are still not ready.
+    std::vector<HwThread*> picked;
+    const uint64_t warm = rng.NextBounded(12);
+    for (uint64_t w = 0; w < warm; w++) {
+      for (auto& t : threads) {
+        t->set_ready_at(rng.NextBounded(3) == 0 ? 1 : 0);
+      }
+      q.PickUpTo(0, n, &picked);
+    }
+    for (auto& t : threads) {
+      t->set_ready_at(0);
+    }
+    const uint64_t k = rng.NextRange(1, 60);
+    SchedQueue stepped = q;
+    std::vector<HwThread*> last;
+    for (uint64_t i = 0; i < k; i++) {
+      stepped.PickUpTo(0, n, &last);
+    }
+    std::vector<HwThread*> bulk(n);
+    ASSERT_EQ(q.PickAllFor(k, bulk.data()), n);
+    ASSERT_EQ(bulk, last) << "iter " << iter;
+    std::vector<HwThread*> a;
+    std::vector<HwThread*> b;
+    for (int i = 0; i < 24; i++) {
+      q.PickUpTo(0, 1, &a);
+      stepped.PickUpTo(0, 1, &b);
+      ASSERT_EQ(a, b) << "iter " << iter << " probe " << i;
+    }
+  }
+}
+
+TEST(SchedQueueTest, PickAllForAfterSkippedSlot) {
+  // c takes one of its 3 credits and is then skipped while not ready, so the
+  // cursor lands on a with c still holding 2. From there the picks run a's
+  // and b's turns, c's partial turn, then 6-pick periods (a2 b1 c3). Seven
+  // picks end on c's full turn; reducing by the period before c's partial
+  // turn was taken would end on b's.
+  HwThread a(0, 0);
+  HwThread b(1, 0);
+  HwThread c(2, 0);
+  a.arch().prio = 2;
+  b.arch().prio = 1;
+  c.arch().prio = 3;
+  SchedQueue q;
+  for (HwThread* t : {&a, &b, &c}) {
+    t->set_state(ThreadState::kRunnable);
+    q.Add(t);
+  }
+  std::vector<HwThread*> picked;
+  a.set_ready_at(1);
+  b.set_ready_at(1);
+  q.PickUpTo(0, 3, &picked);  // head c: 3 -> 2 credits
+  ASSERT_EQ(picked, (std::vector<HwThread*>{&c}));
+  c.set_ready_at(2);
+  q.PickUpTo(1, 3, &picked);  // c skipped: head a, 2 -> 1 credits
+  ASSERT_EQ(picked, (std::vector<HwThread*>{&a, &b}));
+  SchedQueue stepped = q;
+  for (int i = 0; i < 7; i++) {
+    stepped.PickUpTo(2, 3, &picked);
+  }
+  HwThread* out[3];
+  ASSERT_EQ(q.PickAllFor(7, out), 3u);
+  EXPECT_EQ(std::vector<HwThread*>(out, out + 3), picked);
+  EXPECT_EQ(picked, (std::vector<HwThread*>{&b, &c, &a}));  // b's pick handed on to c
+  std::vector<HwThread*> x;
+  std::vector<HwThread*> y;
+  for (int i = 0; i < 8; i++) {
+    q.PickUpTo(2, 1, &x);
+    stepped.PickUpTo(2, 1, &y);
+    EXPECT_EQ(x, y) << "probe " << i;
+  }
+  EXPECT_EQ(x, (std::vector<HwThread*>{&c}));  // probes c c c a a b c c
 }
 
 TEST(SchedQueueTest, FrontInsertPreempts) {

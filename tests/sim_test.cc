@@ -529,6 +529,183 @@ TEST(EventQueueTest, LaneRescheduleAddsNoHeapEntries) {
   EXPECT_EQ(q.RunAll(), 2u);
 }
 
+// A lane with quiet ticks: it reschedules itself every tick up to `last`,
+// and ticks before `quiet_end` are quiet. Quiet ticks are only counted, so
+// a one-tick run (which fires them) and a bulk run (which advances over
+// them) leave the same log.
+class QuietLane final : public Event {
+ public:
+  QuietLane(EventQueue& q, std::vector<std::pair<Tick, int>>& log, int id, Tick quiet_end,
+            Tick last)
+      : q_(q), log_(log), id_(id), quiet_end_(quiet_end), last_(last) {}
+
+  void Fire() override {
+    ticks++;
+    if (q_.now() >= quiet_end_) {
+      log_.emplace_back(q_.now(), id_);
+    }
+    if (q_.now() < last_) {
+      q_.Schedule(this, q_.now() + 1);
+    }
+  }
+  Tick QuietUntil() const override { return std::max(when(), quiet_end_); }
+  void AdvanceQuiet(Tick from, Tick to) override {
+    EXPECT_LE(to, quiet_end_);
+    spans.emplace_back(from, to);
+    ticks += to - from;
+  }
+
+  uint64_t ticks = 0;
+  std::vector<std::pair<Tick, Tick>> spans;  // AdvanceQuiet calls
+
+ private:
+  EventQueue& q_;
+  std::vector<std::pair<Tick, int>>& log_;
+  int id_;
+  Tick quiet_end_;
+  Tick last_;
+};
+
+TEST(EventQueueTest, QuietLaneBulkStepStopsAtHeapTopLaneAndLimit) {
+  using Spans = std::vector<std::pair<Tick, Tick>>;
+  std::vector<std::pair<Tick, int>> log;
+  {
+    // The live heap top: the step ends at its tick, and the heap event (keyed
+    // first) still fires there before the re-keyed lane.
+    EventQueue q;
+    QuietLane a(q, log, 1, /*quiet_end=*/1000, /*last=*/1000);
+    q.RegisterLane(&a);
+    q.Schedule(&a, 10);
+    Tick lane_at_heap = 0;
+    q.ScheduleFn(50, [&] {
+      log.emplace_back(q.now(), 2);
+      lane_at_heap = a.when();
+    });
+    q.RunUntil(100);
+    EXPECT_EQ(a.spans, (Spans{{10, 50}, {50, 101}}));
+    EXPECT_EQ(lane_at_heap, 50u);
+    EXPECT_EQ(a.ticks, 91u);
+    // RunUntil ends at exactly its limit, the lane keyed just past it.
+    EXPECT_EQ(q.now(), 100u);
+    EXPECT_EQ(a.when(), 101u);
+    EXPECT_EQ(q.events_fired(), 3u);  // bulk, heap event, bulk
+  }
+  {
+    // A lane that is not quiet at its tick ends the step there, and fires
+    // ahead of the lane stepped up to it; once it is gone, the next step
+    // runs to the limit.
+    EventQueue q;
+    log.clear();
+    QuietLane a(q, log, 1, 1000, 40);
+    QuietLane b(q, log, 2, /*quiet_end=*/0, /*last=*/30);
+    q.RegisterLane(&a);
+    q.RegisterLane(&b);
+    q.Schedule(&a, 10);
+    q.Schedule(&b, 30);
+    q.RunUntil(40);
+    EXPECT_EQ(a.spans, (Spans{{10, 30}, {30, 41}}));
+    EXPECT_TRUE(b.spans.empty());
+    EXPECT_EQ(log, (std::vector<std::pair<Tick, int>>{{30, 2}}));
+    EXPECT_EQ(a.ticks, 31u);
+  }
+  {
+    // The lane's own first non-quiet tick: it fires there normally.
+    EventQueue q;
+    log.clear();
+    QuietLane a(q, log, 1, /*quiet_end=*/25, /*last=*/26);
+    q.RegisterLane(&a);
+    q.Schedule(&a, 10);
+    q.RunAll();
+    EXPECT_EQ(a.spans, (Spans{{10, 25}}));
+    EXPECT_EQ(log, (std::vector<std::pair<Tick, int>>{{25, 1}, {26, 1}}));
+    EXPECT_EQ(q.now(), 26u);
+    EXPECT_EQ(q.events_fired(), 3u);
+  }
+}
+
+TEST(EventQueueTest, RunOneNeverTakesABulkStep) {
+  EventQueue q;
+  std::vector<std::pair<Tick, int>> log;
+  QuietLane a(q, log, 1, 1000, 1000);
+  QuietLane b(q, log, 2, 1000, 1000);
+  q.RegisterLane(&a);
+  q.RegisterLane(&b);
+  q.Schedule(&a, 10);
+  q.Schedule(&b, 10);
+  for (int i = 0; i < 10; i++) {
+    EXPECT_TRUE(q.RunOne());
+  }
+  EXPECT_TRUE(a.spans.empty());
+  EXPECT_TRUE(b.spans.empty());
+  EXPECT_EQ(a.ticks, 5u);
+  EXPECT_EQ(b.ticks, 5u);
+  EXPECT_EQ(q.now(), 14u);
+  EXPECT_EQ(q.events_fired(), 10u);
+}
+
+TEST(EventQueueTest, QuietLaneRekeyOrderMatchesOneTickStepping) {
+  // Four quiet lanes become due at two ticks and are stepped to x = 40 in
+  // one step. One-tick stepping leaves them keyed at 40 by old tick
+  // descending, then old sequence ascending; a lane and a heap event keyed
+  // at 40 before the step fire ahead of all four.
+  struct Run {
+    std::vector<std::pair<Tick, int>> log;
+    uint64_t fired = 0;
+    size_t live = 0;
+    Tick next = 0;
+    size_t entries = 0;
+  };
+  auto run = [](bool bulk) {
+    EventQueue q;
+    Run r;
+    std::vector<std::unique_ptr<QuietLane>> lanes;
+    for (int id = 1; id <= 5; id++) {
+      lanes.push_back(std::make_unique<QuietLane>(q, r.log, id, /*quiet_end=*/40, /*last=*/41));
+      q.RegisterLane(lanes.back().get());
+    }
+    q.Schedule(lanes[4].get(), 40);  // id 5: keyed at x before the step
+    q.ScheduleFn(40, [&] { r.log.emplace_back(q.now(), 0); });
+    q.Schedule(lanes[1].get(), 20);  // id 2
+    q.Schedule(lanes[2].get(), 20);  // id 3
+    q.Schedule(lanes[0].get(), 10);  // id 1
+    q.Schedule(lanes[3].get(), 10);  // id 4
+    q.ScheduleFn(45, [] {});
+    if (bulk) {
+      q.RunUntil(39);
+      EXPECT_EQ(q.events_fired(), 1u);  // one bulk step, however many lanes
+      EXPECT_EQ(q.now(), 39u);
+      EXPECT_EQ(lanes[0]->spans, (std::vector<std::pair<Tick, Tick>>{{10, 40}}));
+      EXPECT_EQ(lanes[1]->spans, (std::vector<std::pair<Tick, Tick>>{{20, 40}}));
+    } else {
+      while (q.NextTick() < 40) {
+        q.RunOne();
+      }
+    }
+    r.live = q.LiveCount();
+    r.next = q.NextTick();
+    r.entries = q.InternalEntryCount();
+    q.RunAll();
+    r.fired = q.events_fired();
+    return r;
+  };
+  const Run bulk = run(true);
+  const Run ref = run(false);
+  const std::vector<std::pair<Tick, int>> expected = {
+      {40, 5}, {40, 0}, {40, 2}, {40, 3}, {40, 1}, {40, 4},
+      {41, 5}, {41, 2}, {41, 3}, {41, 1}, {41, 4}};
+  EXPECT_EQ(bulk.log, expected);
+  EXPECT_EQ(ref.log, expected);
+  // Every lane is still one live event, no heap entry was added, and the
+  // heap events at 40 and 45 stayed live.
+  EXPECT_EQ(bulk.live, 7u);
+  EXPECT_EQ(bulk.live, ref.live);
+  EXPECT_EQ(bulk.next, 40u);
+  EXPECT_EQ(ref.next, 40u);
+  EXPECT_EQ(bulk.entries, 2u);
+  EXPECT_EQ(bulk.entries, ref.entries);
+  EXPECT_LT(bulk.fired, ref.fired);
+}
+
 TEST(EventQueueTest, SchedulePastTickClampsToNow) {
   // Past ticks must clamp to now() and fire on the next dispatch; the
   // clock never runs backwards.

@@ -22,28 +22,38 @@
 #   * casc_chaos `--scenario=all` at seeds 1/7/42;
 #   * casc_fuzz `--seed=3 --iters=300`.
 #
+# With --reqbench, it compares two request-benchmark binaries instead (each
+# built by `python3 reqbench/run.py` in its own checkout, at
+# .bench_build/reqbench/reqbench): all three workloads at --trace 0 and 1,
+# seeds 5 and 42, --seconds 1. Per run it byte-compares the exit code, every
+# metric line of kind `sim`, and the report's `correct` and `failed`. The
+# one sim line left out is sim.events_per_req, which counts dispatches (a
+# host-speed change may remove some); both values are printed instead.
+#
 # Usage: tools/sim_identity_check.sh <parent-build> <change-build> [<scratch-dir>]
+#        tools/sim_identity_check.sh --reqbench <parent-reqbench> <change-reqbench>
+#                                    [<scratch-dir>]
 # Exit 0 when every output matches, 1 on any difference, 2 on usage errors.
 set -u
 
-if [ $# -lt 2 ]; then
+usage() {
   echo "usage: sim_identity_check.sh <parent-build> <change-build> [<scratch-dir>]" >&2
+  echo "       sim_identity_check.sh --reqbench <parent-reqbench> <change-reqbench>" \
+    "[<scratch-dir>]" >&2
   exit 2
+}
+
+mode=builds
+if [ "${1:-}" = "--reqbench" ]; then
+  mode=reqbench
+  shift
 fi
-build_a=$(cd "$1" && pwd) || exit 2
-build_b=$(cd "$2" && pwd) || exit 2
+if [ $# -lt 2 ]; then
+  usage
+fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 scratch=${3:-$(mktemp -d)}
 mkdir -p "$scratch/a" "$scratch/b"
-
-for b in "$build_a" "$build_b"; do
-  for bin in tools/casc_run tools/casc_chaos tools/casc_fuzz bench/bench_t2_simhost; do
-    if [ ! -x "$b/$bin" ]; then
-      echo "sim_identity_check: missing $b/$bin" >&2
-      exit 2
-    fi
-  done
-done
 
 fail=0
 cases=0
@@ -89,6 +99,69 @@ compare() {
     fi
   done
 }
+
+finish() {
+  if [ "$fail" -ne 0 ]; then
+    echo "sim_identity_check: FAIL (outputs under $scratch)" >&2
+    exit 1
+  fi
+  echo "sim_identity_check: ok ($cases cases byte-identical)"
+  exit 0
+}
+
+if [ "$mode" = reqbench ]; then
+  bins=()
+  for bin in "$1" "$2"; do
+    if [ ! -x "$bin" ]; then
+      echo "sim_identity_check: missing $bin" >&2
+      exit 2
+    fi
+    bins+=("$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")")
+  done
+  for workload in ring_colocated rpc_fabric trap_baseline; do
+    for trace in 0 1; do
+      for seed in 5 42; do
+        name=reqbench_${workload}_t${trace}_s${seed}
+        for side in a b; do
+          bin=${bins[0]}
+          [ "$side" = b ] && bin=${bins[1]}
+          out="$scratch/$side/$name"
+          rc=0
+          (cd "$root" && "$bin" --workload "$workload" --seed "$seed" --seconds 1 \
+            --trace "$trace") >"$out.stdout" 2>"$out.stderr" || rc=$?
+          echo "$rc" >"$out.rc"
+          # Metric lines end in their kind; the report is the last line.
+          grep ' sim$' "$out.stdout" | grep -v '^ *sim\.events_per_req ' >"$out.sim"
+          tail -n 1 "$out.stdout" | python3 -c '
+import json, sys
+try:
+    r = json.load(sys.stdin)
+    print("correct %s\nfailed %s" % (r["correct"], r["failed"]))
+except (ValueError, KeyError):
+    print("no report")
+' >>"$out.sim"
+        done
+        compare "$name" rc sim
+        epr() {
+          grep '^ *sim\.events_per_req ' "$scratch/$1/$name.stdout" | awk '{print $2}'
+        }
+        echo "$name: sim.events_per_req $(epr a) -> $(epr b)"
+      done
+    done
+  done
+  finish
+fi
+
+build_a=$(cd "$1" && pwd) || exit 2
+build_b=$(cd "$2" && pwd) || exit 2
+for b in "$build_a" "$build_b"; do
+  for bin in tools/casc_run tools/casc_chaos tools/casc_fuzz bench/bench_t2_simhost; do
+    if [ ! -x "$b/$bin" ]; then
+      echo "sim_identity_check: missing $b/$bin" >&2
+      exit 2
+    fi
+  done
+done
 
 # Rewrites both T2 JSON reports in place, keeping only the simulated keys of
 # the rows both reports have.
@@ -147,8 +220,4 @@ done
 run_both fuzz_s3 tools/casc_fuzz --seed=3 --iters=300 --out="$scratch/fuzz_out"
 compare fuzz_s3 rc stdout stderr
 
-if [ "$fail" -ne 0 ]; then
-  echo "sim_identity_check: FAIL (outputs under $scratch)" >&2
-  exit 1
-fi
-echo "sim_identity_check: ok ($cases cases byte-identical)"
+finish
