@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
       "software — validation loops, deadlines, watchdog reconciliation — so\n"
       "their latencies track the polling/timer periods; thread faults (poison,\n"
       "EDP escalation, handler crash) ride hardware exception delivery and\n"
-      "detect within exception_write_cycles; the chain-exhaustion row halts\n"
+      "detect within kExceptionWriteCycles; the chain-exhaustion row halts\n"
       "with a reportable reason instead of recovering.\n");
   return report.Finish() ? 0 : 1;
 }

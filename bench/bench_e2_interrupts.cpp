@@ -41,7 +41,7 @@ Result RunBaselineIrq(bool busy_core) {
   Result r;
   std::vector<Tick> handled;
   m.cpu(0).SetIrqHandler(tcfg.irq_vector, [&] {
-    handled.push_back(m.sim().now() + m.cpu(0).config().irq_entry);
+    handled.push_back(m.sim().now() + kIrqEntryCycles);
     return 50;
   });
   if (busy_core) {
@@ -149,6 +149,6 @@ int main(int argc, char** argv) {
       "\nshape check: the htm path should be several times faster than the IRQ\n"
       "path (which pays idle-exit %llu + IRQ entry %llu cycles), and hardware\n"
       "priorities should pull the loaded-core tail back toward the idle case.\n",
-      (unsigned long long)BaselineConfig{}.idle_wake, (unsigned long long)BaselineConfig{}.irq_entry);
+      (unsigned long long)kIdleWakeCycles, (unsigned long long)kIrqEntryCycles);
   return report.Finish() ? 0 : 1;
 }

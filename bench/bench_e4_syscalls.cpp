@@ -126,6 +126,6 @@ int main(int argc, char** argv) {
       "change htm costs at all (separate hardware threads own their registers),\n"
       "while it inflates every baseline syscall. Batching closes part of the\n"
       "gap at the price of the asynchronous API the paper criticizes.\n",
-      (unsigned long long)(BaselineConfig{}.syscall_entry + BaselineConfig{}.syscall_exit));
+      (unsigned long long)(kSyscallEntryCycles + kSyscallExitCycles));
   return report.Finish() ? 0 : 1;
 }

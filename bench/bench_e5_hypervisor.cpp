@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
       "switches on top of the %llu+%llu-cycle exit/entry pair, while the htm\n"
       "hypervisor costs the same whether or not it is privileged — isolation\n"
       "becomes free (ratio ring3/in-kernel = %.2f, htm user/supervisor = %.2f).\n",
-      (unsigned long long)BaselineConfig{}.vmexit, (unsigned long long)BaselineConfig{}.vmentry,
+      (unsigned long long)kVmExitCycles, (unsigned long long)kVmEntryCycles,
       ring3 / in_kernel, htm_user / htm_sup);
   return report.Finish() ? 0 : 1;
 }

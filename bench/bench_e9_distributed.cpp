@@ -247,6 +247,6 @@ int main(int argc, char** argv) {
       "threads should match the event loop at the median and beat it at p99\n"
       "(no head-of-line blocking), while the software-threaded server adds\n"
       "IRQ + scheduler + context-switch costs to every request.\n",
-      (unsigned long long)FabricConfig{}.wire_latency);
+      (unsigned long long)kFabricWireLatency);
   return report.Finish() ? 0 : 1;
 }

@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   std::printf("\nEach read crossed app -> service -> device and back with no mode\n");
   std::printf("switch: the service hardware thread mwait'ed on the CQ tail while the\n");
   std::printf("flash access (%.1f us) was in flight.\n",
-              m.sim().CyclesToNs(BlockConfig{}.read_latency) / 1000.0);
+              m.sim().CyclesToNs(kBlockReadLatency) / 1000.0);
   if (!trace.Finish(0, m.sim().now() + 1)) {
     return 1;
   }

@@ -29,7 +29,7 @@ BaselineCpu::~BaselineCpu() = default;
 SoftThread* BaselineCpu::Spawn(const std::string& name, SoftThread::Body body,
                                std::function<void()> on_finish) {
   const uint32_t id = static_cast<uint32_t>(threads_.size());
-  const Addr tcb = config_.tcb_base + (static_cast<Addr>(core_) << 20) + id * 1024;
+  const Addr tcb = kTcbBase + (static_cast<Addr>(core_) << 20) + id * 1024;
   auto thread = std::make_unique<SoftThread>(id, name, std::move(body), tcb);
   thread->on_finish_ = std::move(on_finish);
   SoftThread* raw = thread.get();
@@ -54,7 +54,7 @@ void BaselineCpu::RaiseIrq(uint32_t vector) {
   if (!step_event_.scheduled()) {
     // The core was halted: pay the idle-state exit latency before the IRQ
     // microcode begins.
-    ScheduleStep(config_.idle_wake);
+    ScheduleStep(kIdleWakeCycles);
   }
 }
 
@@ -113,7 +113,7 @@ void BaselineCpu::Step() {
         handler_cycles += handler();
       }
     }
-    const Tick lat = config_.irq_entry + handler_cycles + config_.irq_exit;
+    const Tick lat = kIrqEntryCycles + handler_cycles + kIrqExitCycles;
     stat_busy_cycles_ += lat;
     ScheduleStep(lat);
     return;
@@ -129,7 +129,7 @@ void BaselineCpu::Step() {
     current_->state_ = SoftThread::State::kRunning;
     dispatched_at_ = sim_.now();
     stat_switches_++;
-    const Tick cost = config_.sched_pick + config_.switch_sw +
+    const Tick cost = kSchedPickCycles + kSwitchSwCycles +
                       StateTraffic(current_->tcb(), /*is_write=*/false);
     stat_busy_cycles_ += cost;
     ScheduleStep(cost);
@@ -158,7 +158,7 @@ void BaselineCpu::Step() {
     }
     ctx.ResumeLeaf(current_->task_.handle());
     if (current_->task_.done()) {
-      const Tick teardown = config_.switch_sw;
+      const Tick teardown = kSwitchSwCycles;
       FinishCurrent();
       ScheduleStep(teardown);
       return;
@@ -173,8 +173,7 @@ void BaselineCpu::Step() {
   Tick lat = 1;
   switch (op.kind) {
     case SoftOp::Kind::kCompute: {
-      const Tick chunk = std::max<Tick>(
-          1, std::min(op.cycles, config_.op_check_interval));
+      const Tick chunk = std::max<Tick>(1, std::min(op.cycles, kOpCheckInterval));
       op.cycles -= std::min(op.cycles, chunk);
       lat = chunk;
       if (op.cycles == 0) {
@@ -219,30 +218,30 @@ void BaselineCpu::Step() {
     case SoftOp::Kind::kEnterKernel:
       ctx.Complete(0);
       stat_mode_switches_++;
-      lat = config_.syscall_entry;
+      lat = kSyscallEntryCycles;
       if (config_.kernel_uses_fp) {
         // User FP/vector state must be preserved before the kernel may touch
         // those registers (§2).
-        lat += mem_.BulkLatency(MemLevel::kL1, config_.state_bytes_fp - config_.state_bytes);
+        lat += mem_.BulkLatency(MemLevel::kL1, kStateBytesFp - kStateBytes);
       }
       break;
     case SoftOp::Kind::kExitKernel:
       ctx.Complete(0);
       stat_mode_switches_++;
-      lat = config_.syscall_exit;
+      lat = kSyscallExitCycles;
       if (config_.kernel_uses_fp) {
-        lat += mem_.BulkLatency(MemLevel::kL1, config_.state_bytes_fp - config_.state_bytes);
+        lat += mem_.BulkLatency(MemLevel::kL1, kStateBytesFp - kStateBytes);
       }
       break;
     case SoftOp::Kind::kVmExit:
       ctx.Complete(0);
       stat_mode_switches_++;
-      lat = config_.vmexit;
+      lat = kVmExitCycles;
       break;
     case SoftOp::Kind::kVmEnter:
       ctx.Complete(0);
       stat_mode_switches_++;
-      lat = config_.vmentry;
+      lat = kVmEntryCycles;
       break;
     case SoftOp::Kind::kNone:
       ctx.Complete(0);

@@ -30,30 +30,30 @@
 
 namespace casc {
 
+// Privilege-mode switch costs (cycles), per direction.
+inline constexpr Tick kSyscallEntryCycles = 150;
+inline constexpr Tick kSyscallExitCycles = 150;
+inline constexpr Tick kIrqEntryCycles = 300;
+inline constexpr Tick kIrqExitCycles = 250;
+inline constexpr Tick kVmExitCycles = 700;
+inline constexpr Tick kVmEntryCycles = 500;
+// Scheduler decision cost per context switch.
+inline constexpr Tick kSchedPickCycles = 250;
+// Fixed software path of a switch (pushes/pops, bookkeeping).
+inline constexpr Tick kSwitchSwCycles = 150;
+// Exit latency from the idle (halted) state when an IRQ arrives.
+inline constexpr Tick kIdleWakeCycles = 900;
+// Max compute chunk between interrupt checks (pipeline drain granularity).
+inline constexpr Tick kOpCheckInterval = 10;
+// TCB region (where saved register state lives).
+inline constexpr Addr kTcbBase = 0x01000000;
+
 struct BaselineConfig {
-  // Privilege-mode switch costs (cycles), per direction.
-  Tick syscall_entry = 150;
-  Tick syscall_exit = 150;
-  Tick irq_entry = 300;
-  Tick irq_exit = 250;
-  Tick vmexit = 700;
-  Tick vmentry = 500;
-  // Scheduler decision cost per context switch.
-  Tick sched_pick = 250;
-  // Fixed software path of a switch (pushes/pops, bookkeeping).
-  Tick switch_sw = 150;
-  // Architected state moved at each switch (§4: 272 B; 784 B with vectors).
-  uint32_t state_bytes = 272;
-  uint32_t state_bytes_fp = 784;
-  bool kernel_uses_fp = false;  // kernel FP use forces the big state
-  // Exit latency from the idle (halted) state when an IRQ arrives.
-  Tick idle_wake = 900;
+  // Kernel FP use forces the big state at each switch (kStateBytesFp instead
+  // of kStateBytes).
+  bool kernel_uses_fp = false;
   // Preemption timeslice in cycles; 0 = run to completion (FCFS).
   Tick quantum = 30000;
-  // Max compute chunk between interrupt checks (pipeline drain granularity).
-  Tick op_check_interval = 10;
-  // TCB region (where saved register state lives).
-  Addr tcb_base = 0x01000000;
 };
 
 class BaselineCpu;
@@ -204,7 +204,7 @@ class BaselineCpu : public IrqSink {
   Tick SwitchCost(SoftThread* from, SoftThread* to);
   Tick StateTraffic(Addr tcb, bool is_write);
   uint32_t StateBytes() const {
-    return config_.kernel_uses_fp ? config_.state_bytes_fp : config_.state_bytes;
+    return config_.kernel_uses_fp ? kStateBytesFp : kStateBytes;
   }
   SoftThread* PickNext();
   void FinishCurrent();

@@ -234,7 +234,7 @@ ScenarioOutcome RunBlockScenario(const ScenarioOptions& opts, bool want_trace) {
     co_await ctx.Store(kMmio + kBlkCqTailAddr, kCqTail, 8);
     BlockPorts ports{kMmio, kSq, kSqSize, kCqTail, kTimerLine};
     BlockRetryPolicy policy;
-    policy.timeout = 60'000;  // read_latency is 24k; deadline at 2.5x
+    policy.timeout = 60'000;  // kBlockReadLatency is 24k; deadline at 2.5x
     for (uint64_t i = 0; i < num_requests; i++) {
       BlockCommand cmd;
       cmd.opcode = BlockCommand::kOpRead;

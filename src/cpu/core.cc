@@ -21,12 +21,11 @@ uint8_t FusedHandlerOf(FusedOp kind) {
 
 }  // namespace
 
-Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id, CoreTimings timings)
+Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id)
     : sim_(sim),
       mem_(mem),
       ts_(ts),
       id_(id),
-      timings_(timings),
       l1i_hit_latency_(mem.config().l1i.hit_latency),
       tick_event_(this),
       native_(ts.config().threads_per_core),
@@ -417,7 +416,7 @@ Tick Core::ExecuteNativeOp(HwThread& t, GuestContext& ctx, const GuestOp& op) {
     case GuestOp::Kind::kStopSelf:
       ctx.DeliverResult(0);
       ts_.Disable(self);
-      return ts_.config().stop_issue_cycles;
+      return kStopIssueCycles;
     case GuestOp::Kind::kRpull:
       return fail_or(ts_.Rpull(self, op.vtid, op.reg));
     case GuestOp::Kind::kRpush:

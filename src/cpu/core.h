@@ -30,12 +30,10 @@
 namespace casc {
 
 // Execution latencies of the simple in-order pipeline (beyond memory).
-struct CoreTimings {
-  Tick alu = 1;
-  Tick mul = 3;
-  Tick div = 20;
-  Tick branch = 1;
-};
+inline constexpr Tick kAluCycles = 1;
+inline constexpr Tick kMulCycles = 3;
+inline constexpr Tick kDivCycles = 20;
+inline constexpr Tick kBranchCycles = 1;
 
 // Dispatch handler ids, in table order: one per opcode (same numbering as
 // Opcode so predecode can translate with a bounds check), then the fused
@@ -66,8 +64,7 @@ class Core {
   // Handler for the `hcall` host-escape instruction / test instrumentation.
   using HcallHandler = std::function<void(Core& core, HwThread& thread, int64_t code)>;
 
-  Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id,
-       CoreTimings timings = CoreTimings{});
+  Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id);
 
   CoreId id() const { return id_; }
 
@@ -322,7 +319,6 @@ class Core {
   MemorySystem& mem_;
   ThreadSystem& ts_;
   CoreId id_;
-  CoreTimings timings_;
   Tick l1i_hit_latency_;  // hoisted from mem config: read once per instruction
   TickEvent tick_event_;
   std::vector<HwThread*> picked_;  // PickUpTo scratch, sized smt_width at construction

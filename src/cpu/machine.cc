@@ -11,7 +11,7 @@ Machine::Machine(const MachineConfig& config)
   mem_ = std::make_unique<MemorySystem>(sim_, config_.mem, config_.num_cores);
   ts_ = std::make_unique<ThreadSystem>(sim_, *mem_, config_.hwt, config_.num_cores);
   for (uint32_t c = 0; c < config_.num_cores; c++) {
-    cores_.push_back(std::make_unique<Core>(sim_, *mem_, *ts_, c, config_.timings));
+    cores_.push_back(std::make_unique<Core>(sim_, *mem_, *ts_, c));
     Core* core = cores_.back().get();
     ts_->SetWakeHook(c, [core] { core->Kick(); });
   }

@@ -26,7 +26,6 @@ struct MachineConfig {
   uint32_t host_threads = 0;
   MemConfig mem;
   HwtConfig hwt;
-  CoreTimings timings;
 };
 
 class Machine {

@@ -29,8 +29,8 @@ void BlockDevice::ProcessNext() {
   sq_consumed_++;
   busy_ = true;
   const Tick media =
-      current_.opcode == BlockCommand::kOpWrite ? config_.write_latency : config_.read_latency;
-  const Tick stream = config_.bytes_per_cycle > 0 ? current_.len / config_.bytes_per_cycle : 0;
+      current_.opcode == BlockCommand::kOpWrite ? kBlockWriteLatency : kBlockReadLatency;
+  const Tick stream = current_.len / kBlockBytesPerCycle;
   sim_.queue().ScheduleAfter(&done_event_, media + stream);
 }
 

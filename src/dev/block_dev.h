@@ -16,11 +16,12 @@
 
 namespace casc {
 
+inline constexpr Tick kBlockReadLatency = 24000;    // ~8 us flash read at 3 GHz
+inline constexpr Tick kBlockWriteLatency = 60000;   // ~20 us program
+inline constexpr uint32_t kBlockBytesPerCycle = 8;  // device-internal streaming rate
+
 struct BlockConfig {
   Addr mmio_base = 0xf1000000;
-  Tick read_latency = 24000;    // ~8 us flash read at 3 GHz
-  Tick write_latency = 60000;   // ~20 us program
-  uint32_t bytes_per_cycle = 8; // device-internal streaming rate
   uint32_t irq_vector = 0x31;
 };
 

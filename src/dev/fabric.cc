@@ -38,9 +38,8 @@ void Fabric::Route(uint64_t src_node, const std::vector<uint8_t>& frame) {
   if (delivery_observer_) {
     delivery_observer_(src_node, header.dst);
   }
-  const Tick serialize =
-      config_.bytes_per_cycle > 0 ? frame.size() / config_.bytes_per_cycle : 0;
-  const Tick delay = config_.wire_latency + serialize + fault_delay;
+  const Tick serialize = frame.size() / kFabricBytesPerCycle;
+  const Tick delay = kFabricWireLatency + serialize + fault_delay;
   sim_.queue().ScheduleFnAfter(delay, [dst, copy = frame]() mutable {
     dst->InjectFrame(std::move(copy));
   });

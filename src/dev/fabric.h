@@ -38,9 +38,10 @@ struct FabricHeader {
   }
 };
 
+inline constexpr Tick kFabricWireLatency = 6000;     // ~2 us one-way at 3 GHz
+inline constexpr uint32_t kFabricBytesPerCycle = 4;  // ~100 Gb/s serialization at 3 GHz
+
 struct FabricConfig {
-  Tick wire_latency = 6000;      // ~2 us one-way at 3 GHz
-  uint32_t bytes_per_cycle = 4;  // ~100 Gb/s serialization at 3 GHz
   // Failure injection: probability a routed frame is silently lost in
   // transit (tests / chaos experiments). 0 = lossless.
   double loss_rate = 0.0;

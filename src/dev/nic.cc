@@ -58,12 +58,12 @@ void Nic::InjectFrame(std::vector<uint8_t> frame) {
 
 void Nic::InjectFrameToQueue(uint32_t queue, std::vector<uint8_t> frame) {
   assert(queue < rx_queues_.size());
-  if (frame.size() > config_.max_frame_bytes) {
-    frame.resize(config_.max_frame_bytes);
+  if (frame.size() > kNicMaxFrameBytes) {
+    frame.resize(kNicMaxFrameBytes);
   }
   rx_queues_[queue].pending.push_back(std::move(frame));
   if (!rx_event_.scheduled()) {
-    sim_.queue().ScheduleAfter(&rx_event_, config_.rx_dma_latency);
+    sim_.queue().ScheduleAfter(&rx_event_, kNicRxDmaLatency);
   }
 }
 
@@ -225,7 +225,7 @@ void Nic::MmioWrite(Addr offset, size_t, uint64_t value) {
     case kNicTxDoorbell:
       tx_doorbell_ = value;
       if (!tx_event_.scheduled()) {
-        sim_.queue().ScheduleAfter(&tx_event_, config_.tx_latency);
+        sim_.queue().ScheduleAfter(&tx_event_, kNicTxLatency);
       }
       break;
     case kNicIrqEnable:

@@ -24,12 +24,14 @@
 
 namespace casc {
 
+inline constexpr Tick kNicRxDmaLatency = 300;  // wire -> memory, ~100 ns at 3 GHz
+inline constexpr Tick kNicTxLatency = 300;     // doorbell -> on the wire
+// Received frames longer than this are truncated.
+inline constexpr uint32_t kNicMaxFrameBytes = 2048;
+
 struct NicConfig {
   Addr mmio_base = 0xf0000000;
-  Tick rx_dma_latency = 300;  // wire -> memory, ~100 ns at 3 GHz
-  Tick tx_latency = 300;      // doorbell -> on the wire
   uint32_t irq_vector = 0x30;
-  uint32_t max_frame_bytes = 2048;
   uint32_t num_rx_queues = 1;
   // Accepted and ignored: the simulator has one event queue, so a NIC has no
   // home core. Kept only because the request benchmark still sets it; the

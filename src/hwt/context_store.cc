@@ -38,18 +38,18 @@ void ContextStore::AdmitThread(HwThread& thread) {
 
 uint32_t ContextStore::TransferBytes(const HwThread& thread) const {
   if (!config_.dirty_register_tracking) {
-    return config_.state_bytes;
+    return kStateBytes;
   }
   // Control state (pc, mode, edp, tdtr...) always goes with the registers.
   constexpr uint32_t kControlStateBytes = 48;
   const uint32_t regs_bytes = thread.used_reg_count() * 8;
-  return std::min(config_.state_bytes, kControlStateBytes + regs_bytes);
+  return std::min(kStateBytes, kControlStateBytes + regs_bytes);
 }
 
 Tick ContextStore::RestoreLatency(const HwThread& thread) const {
   // The bulk state transfer overlaps the pipeline refill; the start cost is
   // the slower of the two (§4: ~20 cycles from the RF, 10-50 from L2/L3).
-  const Tick refill = config_.pipeline_restore_cycles;
+  const Tick refill = kPipelineRestoreCycles;
   switch (thread.tier()) {
     case StorageTier::kRegFile:
       return refill;

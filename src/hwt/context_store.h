@@ -19,6 +19,11 @@
 
 namespace casc {
 
+// Cost to begin executing a thread whose state is in the large register
+// file: "proportional to the length of the pipeline, roughly 20 clock
+// cycles in modern processors" (§4).
+inline constexpr Tick kPipelineRestoreCycles = 20;
+
 class ContextStore {
  public:
   ContextStore(Simulation& sim, MemorySystem& mem, const HwtConfig& config, CoreId core);

@@ -32,28 +32,8 @@ struct HwtConfig {
   uint32_t l2_slots = 64;
   uint32_t l3_slots = 512;
 
-  // Architected state footprint (§4: 272 B for x86-64; 784 B with SSE3).
-  uint32_t state_bytes = 272;
-
-  // Cost to begin executing a thread whose state is in the large register
-  // file: "proportional to the length of the pipeline, roughly 20 clock
-  // cycles in modern processors" (§4).
-  Tick pipeline_restore_cycles = 20;
-
-  // Issue cost of the start/stop instructions themselves (nanosecond scale).
-  Tick start_issue_cycles = 3;
-  Tick stop_issue_cycles = 3;
-
-  // Extra latency for starting/waking a ptid that lives on another core
-  // (interconnect hop; replaces the baseline IPI).
-  Tick remote_start_cycles = 30;
-
-  // Hardware cost to format + write an exception descriptor (§3).
-  Tick exception_write_cycles = 30;
-
   // vtid translation cache (analogous to a tiny TLB over the TDT).
   uint32_t vtid_cache_entries = 16;
-  Tick vtid_cache_hit_cycles = 1;
 
   // §4 optimizations.
   bool dirty_register_tracking = true;  // transfer only used registers

@@ -138,7 +138,7 @@ Translation ThreadSystem::Translate(Ptid issuer, Vtid vtid, Tick* latency) {
   VtidCache& cache = vtid_caches_[issuer];
   if (const Translation* hit = cache.Lookup(vtid)) {
     stat_vtid_hits_++;
-    *latency = config_.vtid_cache_hit_cycles;
+    *latency = kVtidCacheHitCycles;
     result = *hit;
     result.cache_hit = true;
     return result;
@@ -184,14 +184,14 @@ OpResult ThreadSystem::Start(Ptid issuer, Vtid vtid) {
   if (!CheckTranslated(issuer, vtid, t, kPermStart, tlat, &result)) {
     return result;
   }
-  result.latency = tlat + config_.start_issue_cycles;
+  result.latency = tlat + kStartIssueCycles;
   stat_starts_++;
   HwThread& target = thread(t.ptid);
   if (target.state() == ThreadState::kRunnable) {
     return result;  // already running: no-op
   }
   const bool remote = target.core() != thread(issuer).core();
-  MakeRunnable(t.ptid, remote ? config_.remote_start_cycles : 0);
+  MakeRunnable(t.ptid, remote ? kRemoteStartCycles : 0);
   if (remote && remote_start_observer_) {
     remote_start_observer_(issuer, t.ptid);
   }
@@ -208,7 +208,7 @@ OpResult ThreadSystem::Stop(Ptid issuer, Vtid vtid) {
   if (!CheckTranslated(issuer, vtid, t, kPermStop, tlat, &result)) {
     return result;
   }
-  result.latency = tlat + config_.stop_issue_cycles;
+  result.latency = tlat + kStopIssueCycles;
   stat_stops_++;
   Disable(t.ptid);
   if (chb_ != nullptr) {
@@ -507,11 +507,11 @@ void ThreadSystem::RaiseExceptionAt(Ptid ptid, ExceptionType type, Addr addr, ui
   d.pc = t.arch().pc;
   d.addr = addr;
   d.errcode = errcode;
-  d.tick = sim_.now() + config_.exception_write_cycles;
+  d.tick = sim_.now() + kExceptionWriteCycles;
   d.seq = ++exception_seq_;
   // The descriptor write is what wakes the handler thread monitoring the EDP
   // line; schedule it after the hardware formatting delay.
-  sim_.queue().ScheduleFnAfter(config_.exception_write_cycles, [this, d, edp, depth] {
+  sim_.queue().ScheduleFnAfter(kExceptionWriteCycles, [this, d, edp, depth] {
     DeliverOrEscalate(d, edp, depth);
   });
 }

@@ -26,6 +26,21 @@
 
 namespace casc {
 
+// Issue cost of the start/stop instructions themselves (nanosecond scale).
+inline constexpr Tick kStartIssueCycles = 3;
+inline constexpr Tick kStopIssueCycles = 3;
+
+// Extra latency for starting/waking a ptid that lives on another core
+// (interconnect hop; replaces the baseline IPI).
+inline constexpr Tick kRemoteStartCycles = 30;
+
+// Hardware cost to format + write an exception descriptor (§3).
+inline constexpr Tick kExceptionWriteCycles = 30;
+
+// Latency of a vtid translation that hits the per-thread translation cache
+// (analogous to a tiny TLB over the TDT).
+inline constexpr Tick kVtidCacheHitCycles = 1;
+
 // Outcome of one ISA-level thread-management operation.
 struct OpResult {
   bool ok = true;       // false: an exception was raised and the issuer disabled

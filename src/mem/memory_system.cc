@@ -93,7 +93,7 @@ Tick MemorySystem::Read(CoreId core, Addr addr, size_t len, uint64_t* out) {
     if (out != nullptr) {
       *out = v;
     }
-    return config_.mmio_latency;
+    return kMmioLatency;
   }
   if (out != nullptr) {
     *out = phys_.ReadUint(addr, len);
@@ -109,7 +109,7 @@ Tick MemorySystem::Write(CoreId core, Addr addr, size_t len, uint64_t value) {
     // MMIO registers are monitorable too (§3.1: "one can monitor uncachable
     // addresses such as device memory or memory-mapped I/O registers").
     monitors().OnWrite(addr, len);
-    return config_.mmio_latency;
+    return kMmioLatency;
   }
   phys_.WriteUint(addr, value, len);
   InvalidateForWrite(addr, len, core);
@@ -151,19 +151,13 @@ void MemorySystem::DmaWrite(Addr addr, const void* data, size_t len) {
   }
   stat_dma_writes_++;
   phys_.Write(addr, data, len);
+  // DMA comes from no core, so every core's private lines go; then it
+  // allocates into the shared L3 (DDIO-style) so the woken consumer hits
+  // on-chip.
+  InvalidateForWrite(addr, len, kNoWriter);
   const Addr last = LastLineClamped(addr, len);
-  // DMA invalidates every core's private lines and allocates into the shared
-  // L3 (DDIO-style) so the woken consumer hits on-chip.
   for (Addr line = LineBase(addr);; line += kLineSize) {
-    for (auto& cc : core_caches_) {
-      cc.l1i->Invalidate(line);
-      cc.l1d->Invalidate(line);
-      cc.l2->Invalidate(line);
-    }
     l3_->Access(line, /*is_write=*/true);
-    for (const TaggedListener& listener : code_write_listeners_) {
-      listener.fn(line);
-    }
     if (line == last) {
       break;
     }
@@ -184,9 +178,9 @@ Tick MemorySystem::BulkLatency(MemLevel level, uint32_t bytes) const {
     case MemLevel::kL3:
       return config_.l3.hit_latency + transfer;
     case MemLevel::kDram:
-      return config_.dram_latency + transfer;
+      return kDramLatency + transfer;
   }
-  return config_.dram_latency + transfer;
+  return kDramLatency + transfer;
 }
 
 uint64_t MemorySystem::LevelCapacity(MemLevel level) const {

@@ -23,13 +23,15 @@ namespace casc {
 // Memory hierarchy levels, used for bulk context-state transfers (§4).
 enum class MemLevel : uint8_t { kL1 = 0, kL2 = 1, kL3 = 2, kDram = 3 };
 
+// Access latencies past the caches (typical server parts).
+inline constexpr Tick kDramLatency = 200;
+inline constexpr Tick kMmioLatency = 40;
+
 struct MemConfig {
   CacheConfig l1i{"l1i", 32 * 1024, 8, 4};
   CacheConfig l1d{"l1d", 32 * 1024, 8, 4};
   CacheConfig l2{"l2", 512 * 1024, 8, 14};
   CacheConfig l3{"l3", 8 * 1024 * 1024, 16, 42};
-  Tick dram_latency = 200;
-  Tick mmio_latency = 40;
   MonitorFilterConfig monitor;
 };
 
@@ -109,7 +111,7 @@ class MemorySystem {
     if (l3_->Access(addr, is_write)) {
       return lat;
     }
-    return lat + config_.dram_latency;
+    return lat + kDramLatency;
   }
 
   // --- Device-side (DMA) accesses ----------------------------------------
@@ -219,6 +221,10 @@ class MemorySystem {
     CodeWriteListener fn;
   };
   const MmioRegion* FindMmio(Addr addr) const;
+  // Drops the written lines from every core's private caches except the
+  // writer's, and tells the code-write listeners. DMA passes kNoWriter: no
+  // core's copy survives.
+  static constexpr CoreId kNoWriter = ~CoreId{0};
   void InvalidateForWrite(Addr addr, size_t len, CoreId writer);
 
   MemConfig config_;

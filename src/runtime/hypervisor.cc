@@ -32,13 +32,13 @@ Ptid Hypervisor::AddGuest(uint32_t guest_local) {
 void Hypervisor::Install() {
   // TDT: vtid i -> guest i with full (but unprivileged) permissions.
   for (uint32_t i = 0; i < guests_.size(); i++) {
-    TdtEntry{guests_[i], kPermAll}.WriteTo(machine_.mem(), config_.tdt_base, i);
+    TdtEntry{guests_[i], kPermAll}.WriteTo(machine_.mem(), kHypTdtBase, i);
   }
   hyp_ptid_ = machine_.BindNative(
       core_, hyp_local_, [this](GuestContext& ctx) -> GuestTask { return Run(ctx); },
       /*supervisor=*/config_.privileged);
   HwThread& hyp = machine_.threads().thread(hyp_ptid_);
-  hyp.arch().tdtr = config_.tdt_base;
+  hyp.arch().tdtr = kHypTdtBase;
   hyp.arch().tdt_size = guests_.size();
 }
 

@@ -16,10 +16,11 @@
 
 namespace casc {
 
+inline constexpr Addr kHypDescBase = 0x00300000;  // guest i's exception descriptor at base + i*64
+inline constexpr Addr kHypTdtBase = 0x00310000;   // the hypervisor's thread descriptor table
+
 struct HypervisorConfig {
-  Addr desc_base = 0x00300000;  // guest i's exception descriptor at desc_base + i*64
-  Addr tdt_base = 0x00310000;   // the hypervisor's thread descriptor table
-  bool privileged = false;      // false = the full "untrusted" configuration
+  bool privileged = false;  // false = the full "untrusted" configuration
 };
 
 class Hypervisor {
@@ -36,7 +37,7 @@ class Hypervisor {
 
   Ptid hyp_ptid() const { return hyp_ptid_; }
   Addr DescAddr(uint32_t guest_index) const {
-    return config_.desc_base + guest_index * ExceptionDescriptor::kBytes;
+    return kHypDescBase + guest_index * ExceptionDescriptor::kBytes;
   }
 
   uint64_t exits_handled() const { return exits_handled_.get(); }

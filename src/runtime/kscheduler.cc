@@ -6,12 +6,10 @@
 
 namespace casc {
 
-KernelScheduler::KernelScheduler(Machine& machine, CoreId core, uint32_t local_slot,
-                                 const SchedulerConfig& config)
+KernelScheduler::KernelScheduler(Machine& machine, CoreId core, uint32_t local_slot)
     : machine_(machine),
       core_(core),
       local_slot_(local_slot),
-      config_(config),
       placements_(machine.sim().stats().Intern("runtime.sched.placements")),
       migrations_(machine.sim().stats().Intern("runtime.sched.migrations")) {}
 
@@ -34,7 +32,7 @@ uint64_t KernelScheduler::Submit(Addr pc, uint64_t a0, uint64_t a1, uint64_t pri
   softs_.push_back(st);
   pending_.push_back(st.id);
   doorbell_seq_++;
-  machine_.mem().DmaWrite64(config_.submit_doorbell, doorbell_seq_);
+  machine_.mem().DmaWrite64(kSchedSubmitDoorbell, doorbell_seq_);
   return st.id;
 }
 
@@ -63,7 +61,7 @@ SyscallHandler KernelScheduler::SpawnHandler() {
     doorbell_seq_++;
     // A plain store, not DMA: the ring worker is a guest thread, so the
     // doorbell write takes the timed CPU path and wakes the scheduler.
-    co_await ctx.Store(config_.submit_doorbell, doorbell_seq_);
+    co_await ctx.Store(kSchedSubmitDoorbell, doorbell_seq_);
     *ret = st.id;
   };
 }
@@ -152,8 +150,8 @@ GuestTask KernelScheduler::Migrate(GuestContext& ctx, SoftThreadInfo* st, Ptid t
 }
 
 GuestTask KernelScheduler::Run(GuestContext& ctx) {
-  co_await ctx.Monitor(config_.timer_counter);
-  co_await ctx.Monitor(config_.submit_doorbell);
+  co_await ctx.Monitor(kSchedTimerCounter);
+  co_await ctx.Monitor(kSchedSubmitDoorbell);
   for (;;) {
     // 1. Place pending software threads.
     while (!pending_.empty()) {
@@ -181,7 +179,7 @@ GuestTask KernelScheduler::Run(GuestContext& ctx) {
           std::max_element(load.begin(), load.end()) - load.begin());
       const size_t min_i = static_cast<size_t>(
           std::min_element(load.begin(), load.end()) - load.begin());
-      if (load[max_i] >= load[min_i] + config_.balance_threshold &&
+      if (load[max_i] >= load[min_i] + kSchedBalanceThreshold &&
           load[min_i] < pools_[min_i].slots.size()) {
         // Pick a victim in the overloaded pool and a free slot in the other.
         SoftThreadInfo* victim = nullptr;

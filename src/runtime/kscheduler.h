@@ -28,17 +28,14 @@ inline constexpr uint64_t kSchedSpawn = 1;
 // on the wrong core (see SpawnHandler); never a valid soft-thread id.
 inline constexpr uint64_t kSchedSpawnRefused = ~uint64_t{0};
 
-struct SchedulerConfig {
-  Addr timer_counter = 0x00700000;  // APIC timer increments this line
-  Addr submit_doorbell = 0x00700040;
-  // Imbalance threshold: migrate when (max - min) runnable per pool exceeds it.
-  uint32_t balance_threshold = 2;
-};
+inline constexpr Addr kSchedTimerCounter = 0x00700000;  // APIC timer increments this line
+inline constexpr Addr kSchedSubmitDoorbell = 0x00700040;
+// Imbalance threshold: migrate when (max - min) runnable per pool exceeds it.
+inline constexpr uint32_t kSchedBalanceThreshold = 2;
 
 class KernelScheduler {
  public:
-  KernelScheduler(Machine& machine, CoreId core, uint32_t local_slot,
-                  const SchedulerConfig& config);
+  KernelScheduler(Machine& machine, CoreId core, uint32_t local_slot);
 
   // Declares `count` hardware threads starting at `first_local` on `core` as
   // a worker pool the scheduler may place software threads onto.
@@ -91,7 +88,6 @@ class KernelScheduler {
   Machine& machine_;
   CoreId core_;
   uint32_t local_slot_;
-  SchedulerConfig config_;
   Ptid sched_ptid_ = kInvalidPtid;
   std::vector<Pool> pools_;
   // Deque, not vector: Place/Migrate hold SoftThreadInfo pointers across

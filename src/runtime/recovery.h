@@ -28,12 +28,11 @@ struct WardSpec {
   Addr edp = 0;   // ward's exception-descriptor address, which we monitor
 };
 
+// Modeled diagnosis cost per descriptor a fault handler services.
+inline constexpr Tick kHandlerServiceCycles = 50;
+
 struct HandlerPolicy {
   uint64_t max_restarts_per_ward = 16;  // fallback: drop the ward, not the machine
-  Tick service_cost = 50;               // modeled diagnosis cost per descriptor
-  // An escalated page-fault descriptor (a deeper handler's EDP was
-  // unwritable) carries the original faulter in errcode; restart it too.
-  bool restart_escalated_faulter = true;
 };
 
 struct HandlerStats {
@@ -69,7 +68,7 @@ inline GuestTask FaultHandlerLoop(GuestContext& ctx, std::vector<WardSpec> wards
       // Clear the type word first: a re-fault after our restart writes a
       // fresh descriptor, and we must not service this one twice.
       co_await ctx.Store(w.edp, 0, 4);
-      co_await ctx.Compute(policy.service_cost);
+      co_await ctx.Compute(kHandlerServiceCycles);
       stats->serviced++;
       progressed = true;
       if (restarts[i] >= policy.max_restarts_per_ward) {
@@ -79,9 +78,10 @@ inline GuestTask FaultHandlerLoop(GuestContext& ctx, std::vector<WardSpec> wards
       restarts[i]++;
       stats->restarts++;
       co_await ctx.Start(w.vtid);
-      if (policy.restart_escalated_faulter &&
-          type == static_cast<uint64_t>(ExceptionType::kPageFault) &&
-          errcode < num_threads && errcode != w.vtid) {
+      // An escalated page-fault descriptor (a deeper handler's EDP was
+      // unwritable) carries the original faulter in errcode; restart it too.
+      if (type == static_cast<uint64_t>(ExceptionType::kPageFault) && errcode < num_threads &&
+          errcode != w.vtid) {
         co_await ctx.Start(static_cast<Vtid>(errcode));
         stats->restarts++;
       }

@@ -1,6 +1,7 @@
 #include "src/sim/config.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace casc {
@@ -119,6 +120,13 @@ double Config::GetDouble(const std::string& key, double def) const {
     }
   }
   return cit->second.value_or(def);
+}
+
+bool Config::ReportParseErrors() const {
+  for (const std::string& e : parse_errors_) {
+    std::fprintf(stderr, "bad flag value: %s\n", e.c_str());
+  }
+  return !parse_errors_.empty();
 }
 
 bool Config::GetBool(const std::string& key, bool def) const {

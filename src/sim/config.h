@@ -41,6 +41,10 @@ class Config {
   // One "key=value (type)" entry per malformed value seen by a typed
   // accessor, in first-seen order.
   const std::vector<std::string>& parse_errors() const { return parse_errors_; }
+  // Prints one "bad flag value: ..." line to stderr per parse error and
+  // returns true if there was any. Tools call it after their typed reads and
+  // exit 2 on true, so a malformed value never silently becomes the default.
+  bool ReportParseErrors() const;
 
   const std::map<std::string, std::string>& values() const { return values_; }
 

@@ -94,8 +94,7 @@ TEST(BaselineTest, IrqPreemptsRunningThread) {
   m.RunFor(5000);
   ASSERT_NE(handled_at, 0u);
   // Detected at the next op boundary (<= check interval) + IRQ entry.
-  EXPECT_LE(handled_at - raised_at,
-            m.cpu(0).config().op_check_interval + m.cpu(0).config().irq_entry + 5);
+  EXPECT_LE(handled_at - raised_at, kOpCheckInterval + kIrqEntryCycles + 5);
   EXPECT_EQ(m.cpu(0).irqs_handled(), 1u);
 }
 
@@ -111,7 +110,7 @@ TEST(BaselineTest, IdleWakeAddsLatency) {
   m.cpu(0).RaiseIrq(7);
   m.RunFor(5000);
   ASSERT_NE(handled_at, 0u);
-  EXPECT_GE(handled_at - raised_at, m.cpu(0).config().idle_wake);
+  EXPECT_GE(handled_at - raised_at, kIdleWakeCycles);
 }
 
 TEST(BaselineTest, QuantumRoundRobinInterleaves) {
@@ -174,7 +173,7 @@ TEST(BaselineTest, SyscallModeSwitchCost) {
       [&] { without_syscall = m2.sim().now(); });
   ASSERT_TRUE(m2.RunToQuiescence());
   const Tick overhead = with_syscall - without_syscall;
-  EXPECT_GE(overhead, m.cpu(0).config().syscall_entry + m.cpu(0).config().syscall_exit);
+  EXPECT_GE(overhead, kSyscallEntryCycles + kSyscallExitCycles);
   EXPECT_LT(overhead, 500u);
 }
 
@@ -212,7 +211,7 @@ TEST(BaselineTest, VmExitRoundTripCost) {
       },
       [&] { done = m.sim().now(); });
   ASSERT_TRUE(m.RunToQuiescence());
-  EXPECT_GE(done, m.cpu(0).config().vmexit + m.cpu(0).config().vmentry + 100);
+  EXPECT_GE(done, kVmExitCycles + kVmEntryCycles + 100);
 }
 
 TEST(BaselineTest, NicIrqWakesBlockedThreadEndToEnd) {
@@ -250,7 +249,7 @@ TEST(BaselineTest, NicIrqWakesBlockedThreadEndToEnd) {
   const Tick latency = handled_at - inject_at;
   // DMA + idle wake + IRQ entry + handler + IRQ exit + dispatch (switch-in):
   // far more than the HTM mwait path measured in DeviceIntegrationTest.
-  EXPECT_GT(latency, NicConfig{}.rx_dma_latency + 1000);
+  EXPECT_GT(latency, kNicRxDmaLatency + 1000);
 }
 
 TEST(BaselineTest, ManyThreadsAllComplete) {

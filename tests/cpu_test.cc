@@ -479,8 +479,8 @@ TEST(CpuTest, WakeLatencyReflectsStorageTier) {
   m.Start(cold);
   const Tick cold_ready = m.threads().thread(cold).ready_at() - t0;
   EXPECT_LT(hot_ready, cold_ready);
-  EXPECT_EQ(hot_ready, m.config().hwt.pipeline_restore_cycles);
-  EXPECT_GE(cold_ready, m.config().mem.dram_latency);
+  EXPECT_EQ(hot_ready, kPipelineRestoreCycles);
+  EXPECT_GE(cold_ready, kDramLatency);
 }
 
 TEST(CpuTest, StopFromAnotherThread) {

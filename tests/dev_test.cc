@@ -71,7 +71,7 @@ TEST_F(NicTest, RxDeliveryDelayedByDmaLatency) {
   nic_.InjectFrame({1});
   const Tick start = sim_.now();
   sim_.queue().RunAll();
-  EXPECT_EQ(sim_.now() - start, nic_.config().rx_dma_latency);
+  EXPECT_EQ(sim_.now() - start, kNicRxDmaLatency);
 }
 
 TEST_F(NicTest, RxRingFullDropsAndResumes) {
@@ -200,7 +200,7 @@ TEST(BlockDeviceTest, WriteThenReadRoundTrip) {
   sim.queue().RunAll();
   EXPECT_EQ(dev.completed(), 2u);
   EXPECT_EQ(mem.phys().Read64(kBuf + 0x1000), 0xfeedfacecafebeefull);
-  EXPECT_GE(sim.now() - before, BlockConfig{}.read_latency);
+  EXPECT_GE(sim.now() - before, kBlockReadLatency);
 }
 
 TEST(FabricTest, RoutesBetweenNics) {
@@ -289,8 +289,8 @@ TEST(DeviceIntegrationTest, NicRxWakesHardwareThread) {
   const Tick latency = handled_at[0] - inject_time;
   // DMA latency (300) + wakeup + a few instructions: far below a baseline
   // IRQ + schedule path, and bounded.
-  EXPECT_GE(latency, NicConfig{}.rx_dma_latency);
-  EXPECT_LE(latency, NicConfig{}.rx_dma_latency + 150);
+  EXPECT_GE(latency, kNicRxDmaLatency);
+  EXPECT_LE(latency, kNicRxDmaLatency + 150);
 }
 
 TEST_F(NicTest, TxRingWrapsAround) {
@@ -371,7 +371,7 @@ TEST(BlockDeviceTest, QueuedCommandsCompleteSerially) {
     EXPECT_EQ(mem.phys().Read64(0x300000 + i * 512), 0x1000 + i);
   }
   // Serial device: 4 commands take at least 4x the single-command latency.
-  EXPECT_GE(sim.now() - t0, 4 * BlockConfig{}.read_latency);
+  EXPECT_GE(sim.now() - t0, 4 * kBlockReadLatency);
 }
 
 TEST(FabricTest, UnroutableFrameDropped) {
@@ -435,7 +435,7 @@ TEST(FabricTest, SerializationDelayScalesWithFrameSize) {
   const Tick small = send(64);
   const Tick large = send(2048);
   EXPECT_GT(large, small);
-  EXPECT_EQ(large - small, (2048 - 64) / fc.bytes_per_cycle);
+  EXPECT_EQ(large - small, (2048 - 64) / kFabricBytesPerCycle);
 }
 
 TEST(MultiQueueNicTest, RssSteersFlowsAcrossQueues) {

@@ -188,12 +188,12 @@ TEST_F(HwtTest, VtidCacheHitsAfterWalkAndInvtidInvalidates) {
   const Translation t1 = ts_.Translate(0, 0, &lat1);
   ASSERT_TRUE(t1.valid);
   EXPECT_FALSE(t1.cache_hit);
-  EXPECT_GT(lat1, ts_.config().vtid_cache_hit_cycles);  // memory walk
+  EXPECT_GT(lat1, kVtidCacheHitCycles);  // memory walk
 
   Tick lat2 = 0;
   const Translation t2 = ts_.Translate(0, 0, &lat2);
   EXPECT_TRUE(t2.cache_hit);
-  EXPECT_EQ(lat2, ts_.config().vtid_cache_hit_cycles);
+  EXPECT_EQ(lat2, kVtidCacheHitCycles);
 
   // Repoint the entry; stale until invtid.
   TdtEntry{9, kPermAll}.WriteTo(mem_, kTdtBase, 0);
@@ -251,7 +251,7 @@ TEST_F(HwtTest, CrossCoreStartAddsInterconnectDelay) {
   const Ptid remote = ts_.PtidOf(1, 0);
   sim_.queue().RunUntil(100);
   EXPECT_TRUE(ts_.Start(0, remote).ok);
-  EXPECT_GE(ts_.thread(remote).ready_at(), 100 + ts_.config().remote_start_cycles);
+  EXPECT_GE(ts_.thread(remote).ready_at(), 100 + kRemoteStartCycles);
 }
 
 TEST_F(HwtTest, ExceptionWithoutEdpHaltsMachine) {
@@ -433,7 +433,7 @@ TEST_F(HwtTest, RestoreLatencyOrderedByTier) {
   const Tick l2 = store.RestoreLatency(ts_.thread(4));
   const Tick l3 = store.RestoreLatency(ts_.thread(8));
   const Tick dram = store.RestoreLatency(ts_.thread(12));
-  EXPECT_EQ(rf, ts_.config().pipeline_restore_cycles);
+  EXPECT_EQ(rf, kPipelineRestoreCycles);
   EXPECT_LE(rf, l2);
   EXPECT_LT(l2, l3);
   EXPECT_LT(l3, dram);

@@ -25,11 +25,10 @@ class KschedulerTest : public ::testing::Test {
                          "  j work_entry\n",
                          /*supervisor=*/false, "work_entry", 0, 0x5000);
     entry_ = 0x5000;
-    SchedulerConfig scfg;
-    sched_ = std::make_unique<KernelScheduler>(*machine_, 0, 0, scfg);
+    sched_ = std::make_unique<KernelScheduler>(*machine_, 0, 0);
     ApicTimerConfig tcfg;
     tcfg.period = 5000;
-    tcfg.counter_addr = scfg.timer_counter;
+    tcfg.counter_addr = kSchedTimerCounter;
     timer_ = std::make_unique<ApicTimer>(machine_->sim(), machine_->mem(), tcfg);
   }
 

@@ -136,8 +136,7 @@ TEST_F(MemorySystemTest, LatencyTiersStack) {
   const MemConfig& cfg = mem_.config();
   // Cold: L1 + L2 + L3 + DRAM.
   const Tick cold = mem_.AccessLatency(0, 0x10000, false, false);
-  EXPECT_EQ(cold, cfg.l1d.hit_latency + cfg.l2.hit_latency + cfg.l3.hit_latency +
-                      cfg.dram_latency);
+  EXPECT_EQ(cold, cfg.l1d.hit_latency + cfg.l2.hit_latency + cfg.l3.hit_latency + kDramLatency);
   // Warm: L1 hit.
   EXPECT_EQ(mem_.AccessLatency(0, 0x10000, false, false), cfg.l1d.hit_latency);
   // Other core: private miss, shared L3 hit.
@@ -200,7 +199,7 @@ TEST_F(MemorySystemTest, MmioDispatch) {
   uint64_t v = 0;
   const Tick rlat = mem_.Read(0, 0xf000010, 8, &v);
   EXPECT_EQ(v, 0x110u);
-  EXPECT_EQ(rlat, mem_.config().mmio_latency);
+  EXPECT_EQ(rlat, kMmioLatency);
   mem_.Write(0, 0xf000020, 4, 42);
   EXPECT_EQ(dev.last_offset, 0x20u);
   EXPECT_EQ(dev.last_value, 42u);

@@ -246,7 +246,7 @@ TEST(ServicesTest, FileServiceBlockingReadNoPolling) {
   EXPECT_EQ(m.mem().phys().Read64(0x00700000), 0xabcdef99u);
   // The server thread blocked during the ~8 us device latency (no polling):
   // total time is dominated by the device, not by spinning.
-  EXPECT_GE(m.sim().now(), BlockConfig{}.read_latency);
+  EXPECT_GE(m.sim().now(), kBlockReadLatency);
 }
 
 TEST(HypervisorTest, UntrustedHypervisorEmulatesPrivilegedWrites) {

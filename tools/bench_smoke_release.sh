@@ -47,4 +47,7 @@ for path in sys.argv[1:]:
 print(best[1])
 EOF_PY
 )
-"$BUILD"/tools/casc_bench_check --interp-floor "$FLOOR" "$best"
+# casc_bench_check rejects a floor <= 0, so FLOOR=0 skips the flag instead.
+if [ "$FLOOR" != 0 ]; then
+  "$BUILD"/tools/casc_bench_check --interp-floor "$FLOOR" "$best"
+fi

@@ -74,6 +74,9 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const Addr base = cfg.GetUint("base", 0x1000);
+  if (cfg.ReportParseErrors()) {
+    return 2;
+  }
 
   if (mode == "assemble") {
     std::string source;

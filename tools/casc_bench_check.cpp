@@ -478,6 +478,19 @@ void CheckLintJson(const std::string& path) {
   }
 }
 
+// Strict parse of a --interp-floor value: the whole string must be a finite
+// number > 0. A floor of 0 means "no gate", so a value that does not parse
+// must be an error, never a silent 0.
+bool ParseFloor(const char* s, double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v <= 0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -485,8 +498,13 @@ int main(int argc, char** argv) {
   double interp_floor = 0;  // Minsts/s; 0 = no throughput gate
   int checked = 0;
   for (int i = 1; i < argc; i++) {
-    if (std::strcmp(argv[i], "--interp-floor") == 0 && i + 1 < argc) {
-      interp_floor = std::atof(argv[++i]);
+    if (std::strcmp(argv[i], "--interp-floor") == 0) {
+      if (i + 1 >= argc || !ParseFloor(argv[i + 1], &interp_floor)) {
+        std::fprintf(stderr, "--interp-floor needs a number of Minsts/s > 0, got %s\n",
+                     i + 1 < argc ? argv[i + 1] : "nothing");
+        return 2;
+      }
+      i++;
       continue;
     }
     if (std::strcmp(argv[i], "--trace") == 0) {

@@ -127,10 +127,7 @@ int main(int argc, char** argv) {
     opts.has_schedule = true;
     opts.schedule = InjectionSchedule::WithProbability(cfg.GetDouble("prob", 0.0));
   }
-  if (!cfg.parse_errors().empty()) {
-    for (const std::string& e : cfg.parse_errors()) {
-      std::fprintf(stderr, "bad flag value: %s\n", e.c_str());
-    }
+  if (cfg.ReportParseErrors()) {
     return 2;
   }
 

@@ -136,6 +136,11 @@ int main(int argc, char** argv) {
       opts.race_check = false;
     }
   }
+  const uint64_t seed = cfg.GetUint("seed", 1);
+  const uint64_t iters = cfg.GetUint("iters", 100);
+  if (cfg.ReportParseErrors()) {
+    return 2;
+  }
   const std::string repro = cfg.GetString("repro");
   if (!repro.empty()) {
     std::ifstream in(repro);
@@ -180,8 +185,6 @@ int main(int argc, char** argv) {
     return rc;
   }
 
-  const uint64_t seed = cfg.GetUint("seed", 1);
-  const uint64_t iters = cfg.GetUint("iters", 100);
   const std::string out_dir = cfg.GetString("out", ".");
 
   Rng seeder(seed);

@@ -65,6 +65,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --format=%s\n", format.c_str());
     return Usage();
   }
+  const uint64_t base = cfg.GetUint("base", 0x1000);
+  const uint64_t tdt_capacity = cfg.GetUint("tdt-capacity", 64);
+  if (cfg.ReportParseErrors()) {
+    return 2;
+  }
 
   std::ifstream in(path);
   if (!in) {
@@ -74,8 +79,7 @@ int main(int argc, char** argv) {
   std::ostringstream ss;
   ss << in.rdbuf();
 
-  const AssembleResult assembled =
-      Assembler::Assemble(ss.str(), cfg.GetUint("base", 0x1000));
+  const AssembleResult assembled = Assembler::Assemble(ss.str(), base);
   if (!assembled.ok) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), assembled.error.c_str());
     return 2;
@@ -85,7 +89,7 @@ int main(int argc, char** argv) {
   options.entry_symbol = cfg.GetString("entry");
   options.flow.entry_supervisor = !cfg.GetBool("user", false);
   options.flow.assume_edp_at_entry = cfg.GetBool("assume-edp", false);
-  options.flow.tdt_capacity = cfg.GetUint("tdt-capacity", 64);
+  options.flow.tdt_capacity = tdt_capacity;
   options.include_notes = !cfg.GetBool("no-notes", false);
 
   const analysis::LintResult result = analysis::Lint(assembled.program, options);

@@ -77,6 +77,10 @@ int main(int argc, char** argv) {
   MachineConfig mc;
   mc.num_cores = static_cast<uint32_t>(cfg.GetUint("cores", 1));
   mc.hwt.threads_per_core = static_cast<uint32_t>(cfg.GetUint("threads-per-core", 64));
+  const uint64_t max_cycles = cfg.GetUint("max-cycles", 100'000'000);
+  if (cfg.ReportParseErrors()) {
+    return 2;
+  }
 
   const AssembleResult assembled = Assembler::Assemble(ss.str(), /*base=*/0x1000);
   if (!assembled.ok) {
@@ -138,7 +142,6 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const uint64_t max_cycles = cfg.GetUint("max-cycles", 100'000'000);
   // Drain events up to the budget without advancing the clock past the last
   // real event (so the cycle report is meaningful).
   const bool drained = m.DrainBudget(start + max_cycles);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """doc_check: keep the paper-reproduction book honest.
 
-Runs as the `docs_check` ctest. Four passes over the prose docs
+Runs as the `docs_check` ctest. Five passes over the prose docs
 (README.md, DESIGN.md, tools/README.md, docs/ARCHITECTURE.md,
 docs/TUTORIAL.md):
 
@@ -18,6 +18,9 @@ docs/TUTORIAL.md):
    or a plain `DESIGN.md §N` — must name a real `## N.`/`## 4x.` heading in
    DESIGN.md. (Bare numeric `§N` without the DESIGN.md prefix is left
    alone: those cite the source paper.)
+5. Every `kName` constant DESIGN.md §5 cites must be defined as a
+   `constexpr` under src/. That table is the one list of the model's fixed
+   parameters, so a renamed or deleted constant must not leave it stale.
 
 Usage:
   doc_check.py --root=<repo> --build=<builddir> --lint=<casc_lint> \
@@ -64,6 +67,10 @@ HEADING_RE = re.compile(r"^## (\d+[a-z]?)\.", re.MULTILINE)
 # is a paper citation unless explicitly prefixed with "DESIGN.md".
 LETTERED_REF_RE = re.compile(r"§(\d+[a-z])\b")
 PREFIXED_REF_RE = re.compile(r"DESIGN\.md §(\d+[a-z]?)\b")
+# A model constant cited in a code span (`kDramLatency`), and its definition.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+CONST_NAME_RE = re.compile(r"\bk[A-Z][A-Za-z0-9]*\b")
+CONST_DEF_RE = re.compile(r"\bconstexpr\b[^;=(]*\b(k[A-Z][A-Za-z0-9]*)\s*=")
 
 errors = []
 
@@ -166,6 +173,38 @@ def check_section_refs(doc, text, headings):
                                    "heading in DESIGN.md")
 
 
+def defined_constants(root):
+    names = set()
+    for dirpath, _, files in os.walk(os.path.join(root, "src")):
+        for name in files:
+            if name.endswith((".h", ".cc", ".inc")):
+                with open(os.path.join(dirpath, name), errors="replace") as f:
+                    names.update(CONST_DEF_RE.findall(f.read()))
+    return names
+
+
+def check_model_constants(root):
+    with open(os.path.join(root, "DESIGN.md"), errors="replace") as f:
+        lines = f.read().splitlines()
+    start = next((i for i, l in enumerate(lines) if l.startswith("## 5.")), None)
+    if start is None:
+        fail("DESIGN.md", 0, "no `## 5.` section listing the model constants")
+        return 0
+    defined = defined_constants(root)
+    cited = 0
+    for line_no in range(start + 1, len(lines)):
+        line = lines[line_no]
+        if line.startswith("## "):
+            break
+        for span in CODE_SPAN_RE.findall(line):
+            for name in CONST_NAME_RE.findall(span):
+                cited += 1
+                if name not in defined:
+                    fail("DESIGN.md", line_no + 1,
+                         f"§5 cites {name}, which no constexpr under src/ defines")
+    return cited
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--root", required=True)
@@ -193,6 +232,7 @@ def main():
         check_paths(rel, text, args.root, args.build)
         check_section_refs(rel, text, headings)
         checked += 1
+    constants = check_model_constants(args.root)
 
     if errors:
         for e in errors:
@@ -200,7 +240,7 @@ def main():
         print(f"doc_check: {len(errors)} problem(s) in {checked} doc(s)", file=sys.stderr)
         return 1
     print(f"doc_check: {checked} docs ok ({len(flags)} known flags, "
-          f"{len(headings)} DESIGN.md sections)")
+          f"{len(headings)} DESIGN.md sections, {constants} §5 constants)")
     return 0
 
 
