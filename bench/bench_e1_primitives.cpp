@@ -1,15 +1,14 @@
-// E1 — Cost of the primitives (google-benchmark harness).
+// E1 — Cost of the primitives.
 //
 // Paper claims (§1, §4): starting a hardware thread costs ~20 cycles from
 // the large register file and 10–50 cycles (3–16 ns @ 3 GHz) from L2/L3
 // slots, while a software context switch costs hundreds of cycles and a
-// syscall mode switch hundreds more. Every benchmark below runs the real
-// simulated path and reports *simulated* cycles/ns per operation as
-// counters (wall time of the simulator itself is meaningless).
-#include <benchmark/benchmark.h>
-
+// syscall mode switch hundreds more. Every measurement below runs the real
+// simulated path a fixed number of times and reports *simulated* cycles/ns
+// per operation (the simulator's own wall time is meaningless here, so it is
+// not taken).
+#include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/baseline/baseline_machine.h"
@@ -19,18 +18,7 @@
 namespace casc {
 namespace {
 
-BenchReport* g_report = nullptr;
-
-void ReportSimCycles(benchmark::State& state, const std::string& label, double total_cycles,
-                     double ops, double ghz = 3.0) {
-  const double per_op = total_cycles / ops;
-  state.counters["sim_cycles"] = per_op;
-  state.counters["sim_ns"] = per_op / ghz;
-  if (g_report != nullptr) {
-    g_report->Add("primitives", label, "sim_cycles", per_op);
-    g_report->Add("primitives", label, "sim_ns", per_op / ghz);
-  }
-}
+constexpr double kGhz = 3.0;
 
 MachineConfig TieredConfig() {
   MachineConfig cfg;
@@ -42,15 +30,18 @@ MachineConfig TieredConfig() {
   return cfg;
 }
 
+// Each measurement returns simulated cycles per operation over `iters`
+// iterations.
+
 // Wake-to-ready latency with the thread's saved state pinned in one tier.
-void BM_HtmWake(benchmark::State& state, StorageTier tier, const std::string& label) {
+double HtmWake(StorageTier tier, uint64_t iters) {
   Machine m(TieredConfig());
   ThreadSystem& ts = m.threads();
   const Ptid victim = 1;
   ts.InitThread(victim, 0x1000, true);
   double total = 0;
   double ops = 0;
-  for (auto _ : state) {
+  for (uint64_t i = 0; i < iters; i++) {
     ts.store(0).ForceTier(ts.thread(victim), tier);
     const Tick before = m.sim().now();
     ts.MakeRunnable(victim);
@@ -59,11 +50,11 @@ void BM_HtmWake(benchmark::State& state, StorageTier tier, const std::string& la
     ts.Disable(victim);
     m.RunFor(1);
   }
-  ReportSimCycles(state, label, total, ops);
+  return total / ops;
 }
 
 // Issue cost of the start instruction itself (supervisor identity mapping).
-void BM_HtmStartIssue(benchmark::State& state) {
+double HtmStartIssue(uint64_t iters) {
   Machine m(TieredConfig());
   ThreadSystem& ts = m.threads();
   ts.InitThread(0, 0x1000, true);
@@ -72,16 +63,16 @@ void BM_HtmStartIssue(benchmark::State& state) {
   ts.thread(1).set_state(ThreadState::kRunnable);  // start -> no-op, pure issue cost
   double total = 0;
   double ops = 0;
-  for (auto _ : state) {
+  for (uint64_t i = 0; i < iters; i++) {
     total += static_cast<double>(ts.Start(0, 1).latency);
     ops += 1;
   }
-  ReportSimCycles(state, "htm_start_issue", total, ops);
+  return total / ops;
 }
 
 // Full software context switch on the baseline: two threads ping-pong via
 // block/wake; cycles are measured from the busy-cycle counter.
-void BM_BaselineContextSwitch(benchmark::State& state) {
+double BaselineContextSwitch(uint64_t iters) {
   BaselineMachine m;
   SoftThread* a = nullptr;
   SoftThread* b = nullptr;
@@ -100,18 +91,18 @@ void BM_BaselineContextSwitch(benchmark::State& state) {
   m.RunFor(50000);  // warm the TCB lines
   double total = 0;
   double ops = 0;
-  for (auto _ : state) {
+  for (uint64_t i = 0; i < iters; i++) {
     const uint64_t sw0 = m.cpu(0).context_switches();
     const Tick t0 = m.sim().now();
     m.RunFor(20000);
     total += static_cast<double>(m.sim().now() - t0);
     ops += static_cast<double>(m.cpu(0).context_switches() - sw0);
   }
-  ReportSimCycles(state, "baseline_context_switch", total, ops);
+  return total / ops;
 }
 
 // Baseline syscall: mode switch in and out around a trivial kernel body.
-void BM_BaselineSyscall(benchmark::State& state, bool kernel_fp, const std::string& label) {
+double BaselineSyscall(bool kernel_fp, uint64_t iters) {
   BaselineMachineConfig cfg;
   cfg.cpu.kernel_uses_fp = kernel_fp;
   BaselineMachine m(cfg);
@@ -127,18 +118,18 @@ void BM_BaselineSyscall(benchmark::State& state, bool kernel_fp, const std::stri
   m.RunFor(20000);
   double total = 0;
   double ops = 0;
-  for (auto _ : state) {
+  for (uint64_t i = 0; i < iters; i++) {
     const uint64_t c0 = calls;
     const Tick t0 = m.sim().now();
     m.RunFor(20000);
     total += static_cast<double>(m.sim().now() - t0);
     ops += static_cast<double>(calls - c0);
   }
-  ReportSimCycles(state, label, total, ops);
+  return total / ops;
 }
 
 // Baseline VM exit round trip.
-void BM_BaselineVmExit(benchmark::State& state) {
+double BaselineVmExit(uint64_t iters) {
   BaselineMachine m;
   uint64_t exits = 0;
   m.cpu(0).Spawn("guest", [&](SoftContext& ctx) -> GuestTask {
@@ -152,14 +143,14 @@ void BM_BaselineVmExit(benchmark::State& state) {
   m.RunFor(20000);
   double total = 0;
   double ops = 0;
-  for (auto _ : state) {
+  for (uint64_t i = 0; i < iters; i++) {
     const uint64_t c0 = exits;
     const Tick t0 = m.sim().now();
     m.RunFor(50000);
     total += static_cast<double>(m.sim().now() - t0);
     ops += static_cast<double>(exits - c0);
   }
-  ReportSimCycles(state, "baseline_vm_exit", total, ops);
+  return total / ops;
 }
 
 }  // namespace
@@ -170,25 +161,19 @@ int main(int argc, char** argv) {
   std::printf(
       "E1 — primitive costs. Paper: hardware-thread start ~20 cyc (RF), 10-50 cyc\n"
       "(L2/L3, 3-16 ns @3GHz); software context switch = hundreds of cycles; the\n"
-      "sim_cycles / sim_ns counters below carry the simulated costs.\n\n");
-  // --json/--smoke are ours; everything else goes to google-benchmark.
-  std::vector<char*> bm_argv = {argv[0]};
-  std::vector<const char*> our_argv = {argv[0]};
-  for (int i = 1; i < argc; i++) {
-    const std::string a = argv[i];
-    if (a == "--smoke" || a.rfind("--json", 0) == 0) {
-      our_argv.push_back(argv[i]);
-    } else {
-      bm_argv.push_back(argv[i]);
-    }
-  }
-  BenchReport report("e1_primitives", static_cast<int>(our_argv.size()), our_argv.data());
+      "sim_cycles / sim_ns columns below carry the simulated costs.\n\n");
+  BenchReport report("e1_primitives", argc, argv);
   if (!report.parse_ok()) {
     return 1;
   }
-  g_report = &report;
 
-  const auto wake_iters = static_cast<int64_t>(report.Iters(2000, 50));
+  Table table({"primitive", "iterations", "sim_cycles", "sim_ns"});
+  auto record = [&](const std::string& label, uint64_t iters, double per_op) {
+    report.Add("primitives", label, "sim_cycles", per_op);
+    report.Add("primitives", label, "sim_ns", per_op / kGhz);
+    table.Row(label, iters, per_op, per_op / kGhz);
+  };
+  const uint64_t wake_iters = report.Iters(2000, 50);
   const struct {
     const char* name;
     StorageTier tier;
@@ -197,30 +182,15 @@ int main(int argc, char** argv) {
                {"l3_slot", StorageTier::kL3},
                {"dram_spill", StorageTier::kDram}};
   for (const auto& t : tiers) {
-    const std::string label = std::string("htm_wake/") + t.name;
-    benchmark::RegisterBenchmark(
-        (std::string("BM_HtmWake/") + t.name).c_str(),
-        [tier = t.tier, label](benchmark::State& s) { BM_HtmWake(s, tier, label); })
-        ->Iterations(wake_iters);
+    record(std::string("htm_wake/") + t.name, wake_iters, HtmWake(t.tier, wake_iters));
   }
-  benchmark::RegisterBenchmark("BM_HtmStartIssue", BM_HtmStartIssue)
-      ->Iterations(static_cast<int64_t>(report.Iters(5000, 100)));
-  const auto sw_iters = static_cast<int64_t>(report.Iters(50, 3));
-  benchmark::RegisterBenchmark("BM_BaselineContextSwitch", BM_BaselineContextSwitch)
-      ->Iterations(sw_iters);
-  benchmark::RegisterBenchmark(
-      "BM_BaselineSyscall/integer_kernel",
-      [](benchmark::State& s) { BM_BaselineSyscall(s, false, "baseline_syscall/integer_kernel"); })
-      ->Iterations(sw_iters);
-  benchmark::RegisterBenchmark(
-      "BM_BaselineSyscall/fp_kernel",
-      [](benchmark::State& s) { BM_BaselineSyscall(s, true, "baseline_syscall/fp_kernel"); })
-      ->Iterations(sw_iters);
-  benchmark::RegisterBenchmark("BM_BaselineVmExit", BM_BaselineVmExit)->Iterations(sw_iters);
-
-  int bm_argc = static_cast<int>(bm_argv.size());
-  benchmark::Initialize(&bm_argc, bm_argv.data());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  const uint64_t start_iters = report.Iters(5000, 100);
+  record("htm_start_issue", start_iters, HtmStartIssue(start_iters));
+  const uint64_t sw_iters = report.Iters(50, 3);
+  record("baseline_context_switch", sw_iters, BaselineContextSwitch(sw_iters));
+  record("baseline_syscall/integer_kernel", sw_iters, BaselineSyscall(false, sw_iters));
+  record("baseline_syscall/fp_kernel", sw_iters, BaselineSyscall(true, sw_iters));
+  record("baseline_vm_exit", sw_iters, BaselineVmExit(sw_iters));
+  table.Print();
   return report.Finish() ? 0 : 1;
 }

@@ -118,6 +118,7 @@ class BenchReport {
     }
     smoke_ = cfg.GetBool("smoke", false);
     json_path_ = cfg.GetString("json");
+    parse_ok_ = !cfg.ReportParseErrors();
   }
 
   bool parse_ok() const { return parse_ok_; }

@@ -1,7 +1,6 @@
 #include "src/analysis/hb.h"
 
 #include <algorithm>
-#include <cctype>
 #include <deque>
 #include <map>
 #include <set>
@@ -77,7 +76,7 @@ struct Access {
 };
 
 struct RegionInfo {
-  ThreadRegion spec;
+  HarnessThread spec;
   AnalysisOptions opts;
   DataflowResult flow;
   bool live = false;
@@ -93,11 +92,11 @@ struct RegionInfo {
 class ConcurrencyPass {
  public:
   ConcurrencyPass(const Program& program, const DecodedProgram& prog, const Cfg& cfg,
-                  const AnalysisOptions& options, const std::vector<ThreadRegion>& regions)
+                  const AnalysisOptions& options, const std::vector<HarnessThread>& threads)
       : program_(program), prog_(prog), cfg_(cfg), options_(options) {
-    for (const ThreadRegion& r : regions) {
+    for (const HarnessThread& t : threads) {
       RegionInfo info;
-      info.spec = r;
+      info.spec = t;
       regions_.push_back(std::move(info));
     }
   }
@@ -591,7 +590,7 @@ class ConcurrencyPass {
       return;
     }
     auto describe = [&](const RegionInfo& r, const Access& acc, const DecodedInst& di) {
-      return r.spec.name + " " +
+      return "t" + std::to_string(r.spec.ptid) + " " +
              std::string(acc.is_atomic ? "amoadd" : (acc.is_store ? "store" : "load")) +
              " of " + Hex(acc.addr) + " at " + Hex(di.addr);
     };
@@ -613,51 +612,14 @@ class ConcurrencyPass {
 
 }  // namespace
 
-std::vector<ThreadRegion> FindThreadRegions(const Program& program) {
-  std::vector<ThreadRegion> regions;
-  for (const auto& [name, addr] : program.symbols) {
-    if (name.size() < 8 || name[0] != 't' ||
-        name.compare(name.size() - 6, 6, "_entry") != 0) {
-      continue;
-    }
-    const std::string digits = name.substr(1, name.size() - 7);
-    if (digits.empty() ||
-        !std::all_of(digits.begin(), digits.end(),
-                     [](unsigned char c) { return std::isdigit(c); })) {
-      continue;
-    }
-    ThreadRegion r;
-    r.ptid = static_cast<Ptid>(std::stoul(digits));
-    r.entry = addr;
-    r.name = "t" + digits;
-    const std::string prefix = "t" + digits + "_";
-    r.auto_start = program.symbols.count(prefix + "main") != 0;
-    r.supervisor = program.symbols.count(prefix + "user") == 0;
-    if (auto it = program.symbols.find(prefix + "edp"); it != program.symbols.end()) {
-      r.edp = it->second;
-    }
-    if (auto it = program.symbols.find(prefix + "tdt"); it != program.symbols.end()) {
-      r.tdtr = it->second;
-      if (auto end = program.symbols.find(prefix + "tdt_end");
-          end != program.symbols.end() && end->second > r.tdtr) {
-        r.tdt_size = (end->second - r.tdtr) / 16;
-      }
-    }
-    regions.push_back(std::move(r));
-  }
-  std::sort(regions.begin(), regions.end(),
-            [](const ThreadRegion& x, const ThreadRegion& y) { return x.ptid < y.ptid; });
-  return regions;
-}
-
 std::vector<Diagnostic> RunConcurrencyChecks(const Program& program,
                                              const DecodedProgram& prog, const Cfg& cfg,
                                              const AnalysisOptions& options,
-                                             const std::vector<ThreadRegion>& regions) {
-  if (regions.size() < 2) {
+                                             const std::vector<HarnessThread>& threads) {
+  if (threads.size() < 2) {
     return {};
   }
-  return ConcurrencyPass(program, prog, cfg, options, regions).Run();
+  return ConcurrencyPass(program, prog, cfg, options, threads).Run();
 }
 
 }  // namespace analysis

@@ -1,8 +1,8 @@
 // Whole-program concurrency analysis (casc-race, DESIGN.md §4h): carves the
-// image into per-ptid thread regions using the harness tN_* symbol
-// conventions, runs the dataflow fixed point once per region, and checks
-// every cross-region pair of constant-address accesses for a happens-before
-// edge. Edges come from the paper's §3.1 synchronization instructions (see
+// image into one region per harness thread (HarnessThreads, the tN_* symbol
+// convention in src/isa/assembler.h), runs the dataflow fixed point once per
+// region, and checks every cross-region pair of constant-address accesses for
+// a happens-before edge. Edges come from the paper's §3.1 synchronization instructions (see
 // OpcodeHbRole): start/stop, rpull/rpush, and the monitor/mwait protocol
 // (a store to a watched line is a release into the line; an mwait return or
 // a guarded load of a self-armed line is an acquire of it).
@@ -28,32 +28,14 @@
 namespace casc {
 namespace analysis {
 
-// One hardware thread's code region, from the harness symbol conventions
-// (tN_entry, tN_main, tN_user, tN_edp, tN_tdt/tN_tdt_end — the same ones
-// src/verify/harness.h executes).
-struct ThreadRegion {
-  Ptid ptid = 0;
-  Addr entry = 0;
-  bool auto_start = false;  // tN_main: running from boot
-  bool supervisor = true;   // cleared by tN_user
-  Addr edp = 0;
-  Addr tdtr = 0;
-  uint64_t tdt_size = 0;
-  std::string name;  // "tN", used in diagnostics
-};
-
-// Parses tN_entry (and friends) from the symbol table. Empty when the image
-// declares no harness threads — the concurrency pass does not apply then.
-std::vector<ThreadRegion> FindThreadRegions(const Program& program);
-
 // Runs the pair analysis and returns data-race / monitor-store-race /
 // unsynchronized-start diagnostics. `cfg` must have been built with every
-// region entry as an extra entry (BuildCfg's extra_entries) so each region
+// thread's entry as an extra entry (BuildCfg's extra_entries) so each region
 // starts on a block boundary.
 std::vector<Diagnostic> RunConcurrencyChecks(const Program& program,
                                              const DecodedProgram& prog, const Cfg& cfg,
                                              const AnalysisOptions& options,
-                                             const std::vector<ThreadRegion>& regions);
+                                             const std::vector<HarnessThread>& threads);
 
 }  // namespace analysis
 }  // namespace casc

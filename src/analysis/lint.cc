@@ -76,29 +76,29 @@ LintResult Lint(const Program& program, const LintOptions& options) {
   // region's entry becomes a dataflow root carrying that thread's declared
   // mode/EDP/TDT assumptions, and the cross-region happens-before pass runs
   // over the result (DESIGN.md §4h).
-  const std::vector<ThreadRegion> regions = FindThreadRegions(program);
+  const std::vector<HarnessThread> threads = HarnessThreads(program);
   std::vector<Addr> region_entries;
-  for (const ThreadRegion& r : regions) {
-    region_entries.push_back(r.entry);
+  for (const HarnessThread& t : threads) {
+    region_entries.push_back(t.entry);
   }
 
   const Cfg cfg = BuildCfg(decoded, entry, region_entries);
   DataflowResult flow;
-  if (regions.empty()) {
+  if (threads.empty()) {
     flow = RunDataflow(decoded, cfg, options.flow);
   } else {
     std::vector<FlowRoot> roots;
     std::set<size_t> region_blocks;
-    for (const ThreadRegion& r : regions) {
-      const size_t idx = decoded.IndexAt(r.entry);
+    for (const HarnessThread& t : threads) {
+      const size_t idx = decoded.IndexAt(t.entry);
       if (idx == SIZE_MAX) {
         continue;
       }
       AnalysisOptions opts = options.flow;
-      opts.entry_supervisor = r.supervisor;
-      opts.assume_edp_at_entry = r.edp != 0;
-      if (r.tdt_size != 0) {
-        opts.tdt_capacity = r.tdt_size;
+      opts.entry_supervisor = t.supervisor;
+      opts.assume_edp_at_entry = t.edp != 0;
+      if (t.tdt_size != 0) {
+        opts.tdt_capacity = t.tdt_size;
       }
       roots.push_back({cfg.block_of[idx], EntryState(opts, /*secondary=*/false)});
       region_blocks.insert(cfg.block_of[idx]);
@@ -118,9 +118,9 @@ LintResult Lint(const Program& program, const LintOptions& options) {
   }
 
   std::vector<Diagnostic> raw = RunChecks(decoded, cfg, flow, options.flow);
-  if (regions.size() >= 2) {
+  if (threads.size() >= 2) {
     std::vector<Diagnostic> conc =
-        RunConcurrencyChecks(program, decoded, cfg, options.flow, regions);
+        RunConcurrencyChecks(program, decoded, cfg, options.flow, threads);
     raw.insert(raw.end(), std::make_move_iterator(conc.begin()),
                std::make_move_iterator(conc.end()));
     std::sort(raw.begin(), raw.end(),

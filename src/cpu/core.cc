@@ -36,7 +36,7 @@ Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id)
       stat_idle_wakeups_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".idle_wakeups")) {
   picked_.resize(ts.config().smt_width);
   sim_.queue().RegisterLane(&tick_event_);
-  mem_.AddCodeWriteListener(id_, [this](Addr line) { InvalidatePredecodeLine(line); });
+  mem_.AddCodeWriteListener([this](Addr line) { InvalidatePredecodeLine(line); });
 }
 
 void Core::InvalidatePredecodeAll() {

@@ -30,10 +30,6 @@ void Fabric::Route(uint64_t src_node, const std::vector<uint8_t>& frame) {
     }
     fault_delay = static_cast<Tick>(verdict);
   }
-  if (config_.loss_rate > 0 && sim_.rng().NextBool(config_.loss_rate)) {
-    frames_lost_++;
-    return;
-  }
   frames_routed_++;
   if (delivery_observer_) {
     delivery_observer_(src_node, header.dst);

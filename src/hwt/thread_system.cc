@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "src/sim/log.h"
-
 namespace casc {
 
 const char* ThreadStateName(ThreadState s) {
@@ -99,7 +97,6 @@ void ThreadSystem::HaltWith(const HaltInfo& info, const std::string& reason) {
   halted_ = true;
   halt_info_ = info;
   halt_reason_ = reason;
-  CASC_LOG(Debug) << "machine halt: " << reason;
 }
 
 Translation ThreadSystem::Translate(Ptid issuer, Vtid vtid, Tick* latency) {

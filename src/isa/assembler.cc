@@ -1,7 +1,9 @@
 #include "src/isa/assembler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -787,6 +789,41 @@ void Program::LoadInto(PhysicalMemory& mem) const {
   if (!bytes.empty()) {
     mem.Write(base, bytes.data(), bytes.size());
   }
+}
+
+std::vector<HarnessThread> HarnessThreads(const Program& program) {
+  constexpr uint64_t kTdtEntryBytes = 16;  // TdtEntry::kBytes (src/hwt/tdt.h)
+  std::vector<HarnessThread> threads;
+  for (const auto& [name, addr] : program.symbols) {
+    if (name.size() < 8 || name[0] != 't' || !name.ends_with("_entry")) {
+      continue;
+    }
+    const std::string digits = name.substr(1, name.size() - 7);
+    HarnessThread t;
+    // Round-tripping rejects what is not a Ptid in plain decimal.
+    std::from_chars(digits.data(), digits.data() + digits.size(), t.ptid);
+    if (std::to_string(t.ptid) != digits) {
+      continue;
+    }
+    t.entry = addr;
+    const std::string prefix = "t" + digits + "_";
+    t.auto_start = program.symbols.count(prefix + "main") != 0;
+    t.supervisor = program.symbols.count(prefix + "user") == 0;
+    if (auto it = program.symbols.find(prefix + "edp"); it != program.symbols.end()) {
+      t.edp = it->second;
+    }
+    auto tdt = program.symbols.find(prefix + "tdt");
+    auto tdt_end = program.symbols.find(prefix + "tdt_end");
+    if (tdt != program.symbols.end() && tdt_end != program.symbols.end() &&
+        tdt_end->second > tdt->second) {
+      t.tdtr = tdt->second;
+      t.tdt_size = (tdt_end->second - tdt->second) / kTdtEntryBytes;
+    }
+    threads.push_back(t);
+  }
+  std::sort(threads.begin(), threads.end(),
+            [](const HarnessThread& x, const HarnessThread& y) { return x.ptid < y.ptid; });
+  return threads;
 }
 
 AssembleResult Assembler::Assemble(const std::string& source, Addr base) {

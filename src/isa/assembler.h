@@ -49,6 +49,32 @@ struct Program {
   void LoadInto(PhysicalMemory& mem) const;
 };
 
+// One hardware thread declared by a harness image. An image can describe its
+// own machine setup through symbols, so one `.casm` file is self-contained:
+//   tN_entry    ptid N participates; entry pc for the thread
+//   tN_main     ptid N is started at boot (otherwise it waits for `start`)
+//   tN_user     ptid N runs in user mode (default: supervisor)
+//   tN_edp      ptid N's exception descriptor pointer
+//   tN_tdt      ptid N's TDT base, with tN_tdt_end just past its last entry;
+//               the table counts only when both are defined and end > base
+//               (otherwise the thread has no TDT: tdtr = tdt_size = 0)
+// N is a ptid written in plain decimal ("t1", never "t01"). The simulator
+// boots these threads (src/verify/harness.h) and the analyzer carves one
+// region per thread (src/analysis/hb.h) from this one parse.
+struct HarnessThread {
+  Ptid ptid = 0;
+  Addr entry = 0;
+  bool auto_start = false;
+  bool supervisor = true;
+  Addr edp = 0;
+  Addr tdtr = 0;
+  uint64_t tdt_size = 0;  // entries
+};
+
+// The threads `program` declares through tN_entry symbols, in ptid order.
+// Empty for a plain program.
+std::vector<HarnessThread> HarnessThreads(const Program& program);
+
 struct AssembleResult {
   bool ok = false;
   std::string error;  // includes the 1-based source line on failure

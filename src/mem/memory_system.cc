@@ -66,8 +66,8 @@ void MemorySystem::InvalidateForWrite(Addr addr, size_t len, CoreId writer) {
     }
     // Unlike the cache invalidation above, predecode invalidation includes
     // the writer: its own predecoded copy of the line is stale too.
-    for (const TaggedListener& listener : code_write_listeners_) {
-      listener.fn(line);
+    for (const CodeWriteListener& listener : code_write_listeners_) {
+      listener(line);
     }
     if (line == last) {
       break;

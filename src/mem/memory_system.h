@@ -188,12 +188,13 @@ class MemorySystem {
   // --- Code-write notification --------------------------------------------
   // Called once per written line for every memory-backed write (CPU store,
   // atomic, or DMA — not MMIO, which is never fetched). Each core registers
-  // here (tagged with its id) to invalidate predecoded instructions; writes
-  // that bypass the memory system (PhysicalMemory loads at program-load
-  // time) must invalidate explicitly.
+  // here to invalidate predecoded instructions; every listener hears every
+  // written line, the writer's own core included. Writes that bypass the
+  // memory system (PhysicalMemory loads at program-load time) must
+  // invalidate explicitly.
   using CodeWriteListener = std::function<void(Addr line)>;
-  void AddCodeWriteListener(CoreId core, CodeWriteListener fn) {
-    code_write_listeners_.push_back({core, std::move(fn)});
+  void AddCodeWriteListener(CodeWriteListener fn) {
+    code_write_listeners_.push_back(std::move(fn));
   }
 
   // Per-core cache access (tests, warmup helpers).
@@ -216,10 +217,6 @@ class MemorySystem {
     uint64_t size;
     MmioDevice* device;
   };
-  struct TaggedListener {
-    CoreId core;
-    CodeWriteListener fn;
-  };
   const MmioRegion* FindMmio(Addr addr) const;
   // Drops the written lines from every core's private caches except the
   // writer's, and tells the code-write listeners. DMA passes kNoWriter: no
@@ -233,7 +230,7 @@ class MemorySystem {
   std::vector<CoreCaches> core_caches_;
   std::unique_ptr<Cache> l3_;
   std::vector<MmioRegion> mmio_;
-  std::vector<TaggedListener> code_write_listeners_;
+  std::vector<CodeWriteListener> code_write_listeners_;
   std::vector<std::pair<Addr, Addr>> supervisor_only_;  // [base, end)
   std::vector<std::pair<Addr, Addr>> unwritable_;       // [base, end), DMA-side
   StatsRegistry::CounterHandle stat_reads_;

@@ -49,6 +49,16 @@ std::optional<double> ParseDouble(const std::string& s) {
   return v;
 }
 
+std::optional<bool> ParseBool(const std::string& s) {
+  if (s == "true" || s == "1" || s == "yes" || s == "on") {
+    return true;
+  }
+  if (s == "false" || s == "0" || s == "no" || s == "off") {
+    return false;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 bool Config::ParseArgs(int argc, const char* const* argv, std::string* error) {
@@ -134,7 +144,14 @@ bool Config::GetBool(const std::string& key, bool def) const {
   if (it == values_.end()) {
     return def;
   }
-  return it->second == "true" || it->second == "1" || it->second == "yes" || it->second == "on";
+  auto [cit, inserted] = bool_cache_.try_emplace(key);
+  if (inserted) {
+    cit->second = ParseBool(it->second);
+    if (!cit->second.has_value()) {
+      parse_errors_.push_back(key + "=" + it->second + " (bool)");
+    }
+  }
+  return cit->second.value_or(def);
 }
 
 }  // namespace casc

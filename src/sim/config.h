@@ -28,10 +28,10 @@ class Config {
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
 
   // Typed accessors parse each value at most once and memoize the result;
-  // Set()/ParseArgs() invalidate the caches. A malformed numeric value
-  // returns `def` and records the offending key in parse_errors() (the
-  // pre-memoization behavior silently returned whatever strtoll made of the
-  // prefix). Strings must parse fully — trailing junk is malformed.
+  // Set()/ParseArgs() invalidate the caches. A malformed value returns `def`
+  // and records the offending key in parse_errors(). Numbers must parse
+  // fully — trailing junk is malformed. Booleans are true/1/yes/on or
+  // false/0/no/off (a bare --flag is "true"); anything else is malformed.
   std::string GetString(const std::string& key, const std::string& def = "") const;
   int64_t GetInt(const std::string& key, int64_t def) const;
   uint64_t GetUint(const std::string& key, uint64_t def) const;
@@ -53,6 +53,7 @@ class Config {
     int_cache_.clear();
     uint_cache_.clear();
     double_cache_.clear();
+    bool_cache_.clear();
     parse_errors_.clear();
   }
 
@@ -61,6 +62,7 @@ class Config {
   mutable std::map<std::string, std::optional<int64_t>> int_cache_;
   mutable std::map<std::string, std::optional<uint64_t>> uint_cache_;
   mutable std::map<std::string, std::optional<double>> double_cache_;
+  mutable std::map<std::string, std::optional<bool>> bool_cache_;
   mutable std::vector<std::string> parse_errors_;
 };
 

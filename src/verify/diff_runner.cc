@@ -130,8 +130,13 @@ DiffFailure RunDifferential(const Program& program, const DiffOptions& opts) {
     }
   }
 
-  const std::vector<ThreadSpec> specs = ParseThreadSpecs(program, kGenThreads);
-  const auto masks = DescriptorMaskRanges(specs);
+  const std::vector<HarnessThread> threads = HarnessThreads(program);
+  if (!threads.empty() && threads.back().ptid >= kGenThreads) {
+    return Fail("", "setup",
+                "t" + std::to_string(threads.back().ptid) + "_entry declares a thread beyond the " +
+                    std::to_string(kGenThreads) + " every lattice machine has");
+  }
+  const auto masks = DescriptorMaskRanges(threads);
 
   // One reference run per architectural signature.
   std::map<ArchSig, Snapshot> oracles;
@@ -141,7 +146,7 @@ DiffFailure RunDifferential(const Program& program, const DiffOptions& opts) {
     if (oracles.count(sig)) {
       continue;
     }
-    Snapshot ref = RunOnRef(program, specs, RefConfigFor(p), opts.oracle_step_cap);
+    Snapshot ref = RunOnRef(program, threads, RefConfigFor(p), opts.oracle_step_cap);
     if (!ref.quiesced) {
       return Fail(p.name, "timeout", "reference model hit the step cap (generated program "
                   "violates the termination contract, or the cap is too low)");
@@ -153,13 +158,13 @@ DiffFailure RunDifferential(const Program& program, const DiffOptions& opts) {
   uint64_t fired_total = 0;
   for (size_t i : points) {
     const LatticePoint& p = lattice[i];
-    SimRun run(program, specs, p.machine);
+    SimRun run(program, threads, p.machine);
     // Attach before any event runs: boot starts fire their release edges
     // into all-zero clocks, which is exactly the initial state. Never under
     // chaos: injected faults are deliberate races by construction.
     std::unique_ptr<RaceDetector> detector;
     if (opts.race_check && !chaos) {
-      detector = std::make_unique<RaceDetector>(p.machine.hwt.threads_per_core);
+      detector = std::make_unique<RaceDetector>(run.machine().threads().num_threads());
       run.machine().SetConcurrencyObserver(detector.get());
     }
     if (chaos) {
@@ -242,8 +247,8 @@ DiffFailure RunDifferential(const Program& program, const DiffOptions& opts) {
     // also covers the injection/detection/recovery counters: the campaign
     // must replay tick-for-tick from its seed.
     const LatticePoint& p = lattice[points[0]];
-    SimRun a(program, specs, p.machine);
-    SimRun b(program, specs, p.machine);
+    SimRun a(program, threads, p.machine);
+    SimRun b(program, threads, p.machine);
     if (chaos) {
       a.ArmChaos(opts.chaos);
       b.ArmChaos(opts.chaos);

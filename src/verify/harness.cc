@@ -30,40 +30,27 @@ bool Masked(Addr addr, const std::vector<std::pair<Addr, Addr>>& masks) {
 
 }  // namespace
 
-std::vector<ThreadSpec> ParseThreadSpecs(const Program& program, uint32_t num_threads) {
-  std::vector<ThreadSpec> specs;
-  for (Ptid p = 0; p < num_threads; p++) {
-    const std::string prefix = "t" + std::to_string(p) + "_";
-    auto entry = program.symbols.find(prefix + "entry");
-    if (entry == program.symbols.end()) {
-      continue;
-    }
-    ThreadSpec spec;
-    spec.ptid = p;
-    spec.entry = entry->second;
-    spec.auto_start = program.symbols.count(prefix + "main") != 0;
-    spec.supervisor = program.symbols.count(prefix + "user") == 0;
-    auto edp = program.symbols.find(prefix + "edp");
-    if (edp != program.symbols.end()) {
-      spec.edp = edp->second;
-    }
-    auto tdt = program.symbols.find(prefix + "tdt");
-    auto tdt_end = program.symbols.find(prefix + "tdt_end");
-    if (tdt != program.symbols.end() && tdt_end != program.symbols.end() &&
-        tdt_end->second > tdt->second) {
-      spec.tdtr = tdt->second;
-      spec.tdt_size = (tdt_end->second - tdt->second) / TdtEntry::kBytes;
-    }
-    specs.push_back(spec);
+void BootHarness(Machine& m, const Program& program, const std::vector<HarnessThread>& threads) {
+  m.mem().AddSupervisorOnlyRange(0, 0x1000);
+  // Fresh machine: no lines are predecoded yet, so loading straight into
+  // physical memory needs no predecode invalidation here.
+  program.LoadInto(m.mem().phys());
+  for (const HarnessThread& t : threads) {
+    m.threads().InitThread(t.ptid, t.entry, t.supervisor, t.edp, t.tdtr, t.tdt_size);
   }
-  return specs;
+  for (const HarnessThread& t : threads) {
+    if (t.auto_start) {
+      m.Start(t.ptid);
+    }
+  }
 }
 
-std::vector<std::pair<Addr, Addr>> DescriptorMaskRanges(const std::vector<ThreadSpec>& specs) {
+std::vector<std::pair<Addr, Addr>> DescriptorMaskRanges(
+    const std::vector<HarnessThread>& threads) {
   std::vector<std::pair<Addr, Addr>> masks;
-  for (const ThreadSpec& s : specs) {
-    if (s.edp != 0) {
-      masks.emplace_back(s.edp + 32, s.edp + 48);  // tick + seq
+  for (const HarnessThread& t : threads) {
+    if (t.edp != 0) {
+      masks.emplace_back(t.edp + 32, t.edp + 48);  // tick + seq
     }
   }
   return masks;
@@ -177,21 +164,10 @@ struct SimRun::ChaosRig {
 
 SimRun::~SimRun() = default;
 
-SimRun::SimRun(const Program& program, const std::vector<ThreadSpec>& specs,
+SimRun::SimRun(const Program& program, const std::vector<HarnessThread>& threads,
                const MachineConfig& cfg)
-    : program_(program), specs_(specs), machine_(cfg) {
-  machine_.mem().AddSupervisorOnlyRange(0, 0x1000);
-  // Fresh machine: no lines are predecoded yet, so loading straight into
-  // physical memory needs no predecode invalidation here.
-  program_.LoadInto(machine_.mem().phys());
-  for (const ThreadSpec& s : specs_) {
-    machine_.threads().InitThread(s.ptid, s.entry, s.supervisor, s.edp, s.tdtr, s.tdt_size);
-  }
-  for (const ThreadSpec& s : specs_) {
-    if (s.auto_start) {
-      machine_.Start(s.ptid);
-    }
-  }
+    : program_(program), machine_(cfg) {
+  BootHarness(machine_, program_, threads);
 }
 
 void SimRun::ArmChaos(const ChaosPlan& plan) {
@@ -370,19 +346,19 @@ std::string SimRun::CheckInvariants() const {
 // Reference side
 // ---------------------------------------------------------------------------
 
-Snapshot RunOnRef(const Program& program, const std::vector<ThreadSpec>& specs,
+Snapshot RunOnRef(const Program& program, const std::vector<HarnessThread>& threads,
                   const RefConfig& cfg, uint64_t max_steps) {
   RefMachine ref(cfg);
   ref.AddSupervisorOnlyRange(0, 0x1000);
   if (!program.bytes.empty()) {
     ref.mem().Write(program.base, program.bytes.data(), program.bytes.size());
   }
-  for (const ThreadSpec& s : specs) {
-    ref.InitThread(s.ptid, s.entry, s.supervisor, s.edp, s.tdtr, s.tdt_size);
+  for (const HarnessThread& t : threads) {
+    ref.InitThread(t.ptid, t.entry, t.supervisor, t.edp, t.tdtr, t.tdt_size);
   }
-  for (const ThreadSpec& s : specs) {
-    if (s.auto_start) {
-      ref.Start(s.ptid);
+  for (const HarnessThread& t : threads) {
+    if (t.auto_start) {
+      ref.Start(t.ptid);
     }
   }
   Snapshot snap;

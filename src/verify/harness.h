@@ -2,15 +2,9 @@
 // simulator and on the untimed reference model, extracts comparable
 // architectural snapshots, and checks simulator-internal invariants.
 //
-// Thread participation is declared through program symbols (one `.casm` file
-// fully describes a machine setup, so repro files are self-contained):
-//   tN_entry    ptid N participates; entry pc for the thread
-//   tN_main     ptid N is started at boot (otherwise it waits for `start`)
-//   tN_user     ptid N runs in user mode (default: supervisor)
-//   tN_edp      ptid N's exception descriptor pointer
-//   tN_tdt      ptid N's TDT base; size = (tN_tdt_end - tN_tdt) / 16
-// The address range [0, 0x1000) is registered supervisor-only (the page-fault
-// analog's target). Everything runs on one core.
+// Thread participation is declared through the image's tN_* symbols
+// (HarnessThreads in src/isa/assembler.h), so repro files are
+// self-contained. BootHarness is the one routine that boots such an image.
 #ifndef SRC_VERIFY_HARNESS_H_
 #define SRC_VERIFY_HARNESS_H_
 
@@ -26,19 +20,12 @@
 namespace casc {
 namespace verify {
 
-struct ThreadSpec {
-  Ptid ptid = 0;
-  Addr entry = 0;
-  bool auto_start = false;
-  bool supervisor = true;
-  Addr edp = 0;
-  Addr tdtr = 0;
-  uint64_t tdt_size = 0;
-};
-
-// Parses the tN_* symbol conventions. Threads without a tN_entry symbol do
-// not participate (they stay disabled at pc 0 and compare trivially).
-std::vector<ThreadSpec> ParseThreadSpecs(const Program& program, uint32_t num_threads);
+// Boots a harness image on a fresh machine: registers [0, 0x1000) as
+// supervisor-only (the page-fault analog's target), loads the image, sets up
+// every declared thread and starts the tN_main ones. Threads the image does
+// not declare stay disabled at pc 0. Every declared ptid must be below
+// m.threads().num_threads(); callers reject an image that declares more.
+void BootHarness(Machine& m, const Program& program, const std::vector<HarnessThread>& threads);
 
 // Comparable final state of either executor.
 struct Snapshot {
@@ -53,7 +40,8 @@ struct Snapshot {
 
 // Byte ranges ignored in the memory comparison (exception-descriptor tick and
 // seq words: timing/global-ordering artifacts, see DESIGN.md §4f).
-std::vector<std::pair<Addr, Addr>> DescriptorMaskRanges(const std::vector<ThreadSpec>& specs);
+std::vector<std::pair<Addr, Addr>> DescriptorMaskRanges(
+    const std::vector<HarnessThread>& threads);
 
 // Returns "" when equal, else a description of the first difference.
 // `a_name`/`b_name` label the two sides in the message.
@@ -64,7 +52,8 @@ std::string CompareSnapshots(const Snapshot& a, const Snapshot& b,
 // One simulator execution under a given timing configuration.
 class SimRun {
  public:
-  SimRun(const Program& program, const std::vector<ThreadSpec>& specs, const MachineConfig& cfg);
+  SimRun(const Program& program, const std::vector<HarnessThread>& threads,
+         const MachineConfig& cfg);
   ~SimRun();
 
   // Runs to quiescence (or the event cap). Returns the snapshot.
@@ -102,13 +91,12 @@ class SimRun {
   Snapshot Capture(bool quiesced);
 
   const Program& program_;
-  const std::vector<ThreadSpec>& specs_;
   Machine machine_;
   std::unique_ptr<ChaosRig> chaos_;
 };
 
 // One reference-model execution under a given architectural configuration.
-Snapshot RunOnRef(const Program& program, const std::vector<ThreadSpec>& specs,
+Snapshot RunOnRef(const Program& program, const std::vector<HarnessThread>& threads,
                   const RefConfig& cfg, uint64_t max_steps);
 
 }  // namespace verify

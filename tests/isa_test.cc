@@ -216,5 +216,68 @@ TEST(DisassemblerTest, FormatsCommonForms) {
   EXPECT_EQ(Disassemble(Instruction{Opcode::kStart, 0, 9, 0, 0}), "start r9");
 }
 
+TEST(HarnessThreadsTest, ParsesTheSymbolConvention) {
+  const Program p = MustAssemble(R"(
+    t0_entry:
+    t0_main:
+      halt
+    t2_entry:
+    t2_user:
+      halt
+    t2_edp:
+      .space 64
+    t2_tdt:
+      .word 0
+      .word 0
+      .word 0
+      .word 0
+    t2_tdt_end:
+    t10_entry:
+      halt
+  )");
+  const std::vector<HarnessThread> threads = HarnessThreads(p);
+  ASSERT_EQ(threads.size(), 3u);
+  EXPECT_EQ(threads[0].ptid, 0u);
+  EXPECT_TRUE(threads[0].auto_start);
+  EXPECT_TRUE(threads[0].supervisor);
+  EXPECT_EQ(threads[0].edp, 0u);
+  EXPECT_EQ(threads[1].ptid, 2u);
+  EXPECT_FALSE(threads[1].auto_start);
+  EXPECT_FALSE(threads[1].supervisor);
+  EXPECT_EQ(threads[1].edp, p.Symbol("t2_edp"));
+  EXPECT_EQ(threads[1].tdtr, p.Symbol("t2_tdt"));
+  EXPECT_EQ(threads[1].tdt_size, 2u);
+  EXPECT_EQ(threads[2].ptid, 10u);  // ptid order, not symbol-name order
+  EXPECT_EQ(threads[2].entry, p.Symbol("t10_entry"));
+}
+
+TEST(HarnessThreadsTest, TdtNeedsBothBoundsAndPlainDecimalPtids) {
+  const Program p = MustAssemble(R"(
+    t0_entry:
+      halt
+    t0_tdt:
+      .word 0
+      .word 0
+    t1_entry:
+      halt
+    t1_tdt_end:
+      .word 0
+      .word 0
+    t1_tdt:
+    t01_entry:
+    tx_entry:
+    t_entry:
+      halt
+  )");
+  const std::vector<HarnessThread> threads = HarnessThreads(p);
+  ASSERT_EQ(threads.size(), 2u);
+  // t0_tdt without t0_tdt_end, and t1's end below its base: no TDT.
+  EXPECT_EQ(threads[0].tdtr, 0u);
+  EXPECT_EQ(threads[0].tdt_size, 0u);
+  EXPECT_EQ(threads[1].tdtr, 0u);
+  EXPECT_EQ(threads[1].tdt_size, 0u);
+  EXPECT_TRUE(HarnessThreads(MustAssemble("halt\n")).empty());
+}
+
 }  // namespace
 }  // namespace casc

@@ -380,11 +380,10 @@ DynamicResult RunWithDetector(const std::string& source) {
   const Program p = MustAssemble(source);
   MachineConfig cfg;
   cfg.num_cores = 1;
-  const std::vector<verify::ThreadSpec> specs =
-      verify::ParseThreadSpecs(p, cfg.hwt.threads_per_core);
-  EXPECT_FALSE(specs.empty());
-  verify::SimRun run(p, specs, cfg);
-  verify::RaceDetector detector(cfg.hwt.threads_per_core);
+  const std::vector<HarnessThread> threads = HarnessThreads(p);
+  EXPECT_FALSE(threads.empty());
+  verify::SimRun run(p, threads, cfg);
+  verify::RaceDetector detector(run.machine().threads().num_threads());
   run.machine().SetConcurrencyObserver(&detector);
   DynamicResult out;
   out.snapshot = run.Run(1'000'000);
@@ -463,6 +462,46 @@ TEST(DynamicRace, FormatNamesBothSites) {
   const std::string text = verify::RaceDetector::Format(r.reports.front(), &p);
   EXPECT_NE(text.find("race on"), std::string::npos);
   EXPECT_NE(text.find("line"), std::string::npos);  // symbolized via Program
+}
+
+// t0 declares t0_tdt but no t0_tdt_end. Under the one harness rule that is
+// no TDT at all, so `start 1` goes through the supervisor identity map to
+// ptid 1: the simulator runs t1, and the static tier must treat t1 as live
+// too (a zero-size table would hide t1 and its race from lint).
+const char kHalfTdtSource[] = R"(
+t0_entry:
+t0_main:
+  li r25, 1
+  start r25
+  la r28, shared
+  li r29, 7
+  sd r29, 0(r28)
+  halt
+t1_entry:
+  la r28, shared
+  li r29, 8
+  sd r29, 0(r28)
+  halt
+.align 64
+t0_tdt:
+  .space 64
+.align 64
+shared:
+  .space 64
+)";
+
+TEST(HarnessAgreement, TdtWithoutEndReadsTheSameToLintAndSim) {
+  const std::vector<HarnessThread> threads = HarnessThreads(MustAssemble(kHalfTdtSource));
+  ASSERT_EQ(threads.size(), 2u);
+  EXPECT_EQ(threads[0].tdtr, 0u);
+  const analysis::LintResult lint = LintSource(kHalfTdtSource);
+  const analysis::Diagnostic* race = Find(lint, analysis::rules::kDataRace);
+  ASSERT_NE(race, nullptr);
+  EXPECT_NE(race->message.find("t1 store"), std::string::npos) << race->message;
+  const DynamicResult r = RunWithDetector(kHalfTdtSource);
+  ASSERT_GT(r.snapshot.threads.size(), 1u);
+  EXPECT_EQ(r.snapshot.threads[1].arch.gpr[29], 8u);  // t1 ran
+  EXPECT_FALSE(r.clean);
 }
 
 }  // namespace

@@ -1063,6 +1063,27 @@ TEST(ConfigTest, MalformedValueReturnsDefaultAndRecordsError) {
   EXPECT_EQ(cfg.parse_errors()[2], "size=-5 (uint)");
 }
 
+TEST(ConfigTest, BoolAcceptsBothSpellingsAndRecordsTypos) {
+  Config cfg;
+  const char* on[] = {"true", "1", "yes", "on"};
+  const char* off[] = {"false", "0", "no", "off"};
+  for (const char* v : on) {
+    cfg.Set("b", v);
+    EXPECT_TRUE(cfg.GetBool("b", false)) << v;
+  }
+  for (const char* v : off) {
+    cfg.Set("b", v);
+    EXPECT_FALSE(cfg.GetBool("b", true)) << v;
+  }
+  EXPECT_TRUE(cfg.parse_errors().empty());
+  // A typo is neither: it returns the default and is recorded once.
+  cfg.Set("race-check", "ture");
+  EXPECT_FALSE(cfg.GetBool("race-check", false));
+  EXPECT_TRUE(cfg.GetBool("race-check", true));
+  ASSERT_EQ(cfg.parse_errors().size(), 1u);
+  EXPECT_EQ(cfg.parse_errors()[0], "race-check=ture (bool)");
+}
+
 TEST(ConfigTest, TypedAccessorsMemoizeAndSetInvalidates) {
   Config cfg;
   cfg.Set("n", "5");

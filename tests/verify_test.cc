@@ -136,37 +136,6 @@ TEST(RefModel, MonitorMwaitHandshake) {
 // ---------------------------------------------------------------------------
 // Harness
 
-TEST(Harness, ParsesThreadSpecSymbols) {
-  const Program p = MustAssemble(R"(
-    t0_entry:
-    t0_main:
-      halt
-    t2_entry:
-    t2_user:
-      halt
-    t2_edp:
-      .space 64
-    t2_tdt:
-      .word 0
-      .word 0
-      .word 0
-      .word 0
-    t2_tdt_end:
-  )");
-  const auto specs = ParseThreadSpecs(p, 16);
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].ptid, 0u);
-  EXPECT_TRUE(specs[0].auto_start);
-  EXPECT_TRUE(specs[0].supervisor);
-  EXPECT_EQ(specs[0].edp, 0u);
-  EXPECT_EQ(specs[1].ptid, 2u);
-  EXPECT_FALSE(specs[1].auto_start);
-  EXPECT_FALSE(specs[1].supervisor);
-  EXPECT_EQ(specs[1].edp, p.Symbol("t2_edp"));
-  EXPECT_EQ(specs[1].tdtr, p.Symbol("t2_tdt"));
-  EXPECT_EQ(specs[1].tdt_size, 2u);
-}
-
 TEST(Harness, SimAndRefAgreeOnSimpleProgram) {
   const Program p = MustAssemble(R"(
     t0_entry:
@@ -181,13 +150,13 @@ TEST(Harness, SimAndRefAgreeOnSimpleProgram) {
     t0_data:
       .space 64
   )");
-  const auto specs = ParseThreadSpecs(p, 16);
+  const auto threads = HarnessThreads(p);
   const LatticePoint& pt = DefaultLattice()[0];
-  SimRun run(p, specs, pt.machine);
+  SimRun run(p, threads, pt.machine);
   Snapshot sim = run.Run(1'000'000);
   RefConfig rc;
-  Snapshot ref = RunOnRef(p, specs, rc, 100'000);
-  EXPECT_EQ(CompareSnapshots(ref, sim, DescriptorMaskRanges(specs), "ref", "sim"), "");
+  Snapshot ref = RunOnRef(p, threads, rc, 100'000);
+  EXPECT_EQ(CompareSnapshots(ref, sim, DescriptorMaskRanges(threads), "ref", "sim"), "");
   EXPECT_EQ(run.CheckInvariants(), "");
 }
 

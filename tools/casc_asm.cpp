@@ -74,6 +74,8 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const Addr base = cfg.GetUint("base", 0x1000);
+  const bool list = cfg.GetBool("list", false);
+  const bool lint = cfg.GetBool("lint", false);
   if (cfg.ReportParseErrors()) {
     return 2;
   }
@@ -91,10 +93,10 @@ int main(int argc, char** argv) {
     }
     std::printf("assembled %zu bytes at 0x%llx, %zu symbols\n", result.program.bytes.size(),
                 (unsigned long long)base, result.program.symbols.size());
-    if (cfg.GetBool("list", false)) {
+    if (list) {
       PrintListing(result.program);
     }
-    if (cfg.GetBool("lint", false)) {
+    if (lint) {
       const analysis::LintResult lint = analysis::Lint(result.program);
       analysis::PrintDiagnostics(lint, std::cerr);
       if (!lint.ok()) {

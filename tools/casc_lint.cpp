@@ -67,6 +67,9 @@ int main(int argc, char** argv) {
   }
   const uint64_t base = cfg.GetUint("base", 0x1000);
   const uint64_t tdt_capacity = cfg.GetUint("tdt-capacity", 64);
+  const bool user = cfg.GetBool("user", false);
+  const bool assume_edp = cfg.GetBool("assume-edp", false);
+  const bool no_notes = cfg.GetBool("no-notes", false);
   if (cfg.ReportParseErrors()) {
     return 2;
   }
@@ -87,10 +90,10 @@ int main(int argc, char** argv) {
 
   analysis::LintOptions options;
   options.entry_symbol = cfg.GetString("entry");
-  options.flow.entry_supervisor = !cfg.GetBool("user", false);
-  options.flow.assume_edp_at_entry = cfg.GetBool("assume-edp", false);
+  options.flow.entry_supervisor = !user;
+  options.flow.assume_edp_at_entry = assume_edp;
   options.flow.tdt_capacity = tdt_capacity;
-  options.include_notes = !cfg.GetBool("no-notes", false);
+  options.include_notes = !no_notes;
 
   const analysis::LintResult result = analysis::Lint(assembled.program, options);
   if (format == "json") {

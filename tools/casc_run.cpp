@@ -10,20 +10,21 @@
 //
 // Conventions: the program runs on hardware thread 0 in supervisor mode by
 // default. If the image defines harness thread symbols (tN_entry etc., see
-// src/verify/harness.h), every declared thread is set up instead and the
-// tN_main threads start at boot. `hcall 1` prints a0 in decimal, `hcall 2`
-// prints it in hex, `hcall 0`/`halt` ends the thread. Exit code: 0 if the
-// machine quiesced without halting, 1 on machine halt (unhandled fault),
-// 3 if --race-check reported a race.
+// HarnessThreads in src/isa/assembler.h), verify::BootHarness sets up every
+// declared thread instead and starts the tN_main ones; a declared ptid the
+// machine does not have is a usage error (exit 2). `hcall 1` prints a0 in
+// decimal, `hcall 2` prints it in hex, `hcall 0`/`halt` ends the thread.
+// Exit code: 0 if the machine quiesced without halting, 1 on machine halt
+// (unhandled fault), 2 on usage errors, 3 if --race-check reported a race.
 //
 // --race-check attaches the vector-clock race detector (DESIGN.md §4h) as a
 // concurrency observer; detected races print to stderr after the run. With
 // the flag off, no observer is installed and the hot path only pays a null
 // pointer test.
 //
-// With a multi-core machine (--cores=N), harness threads land on core
-// ptid / threads-per-core — `--cores=4 --threads-per-core=1` spreads t0..t3
-// across four cores.
+// With a multi-core machine (--cores=N), the machine has N x threads-per-core
+// hardware threads and harness thread tK lands on core K / threads-per-core:
+// `--cores=4 --threads-per-core=1` spreads t0..t3 across four cores.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -78,7 +79,16 @@ int main(int argc, char** argv) {
   mc.num_cores = static_cast<uint32_t>(cfg.GetUint("cores", 1));
   mc.hwt.threads_per_core = static_cast<uint32_t>(cfg.GetUint("threads-per-core", 64));
   const uint64_t max_cycles = cfg.GetUint("max-cycles", 100'000'000);
+  const bool supervisor = cfg.GetBool("supervisor", true);
+  const bool lint = !cfg.GetBool("no-lint", false);
+  const bool trace_text = cfg.GetBool("trace", false);
+  const bool dump_stats = cfg.GetBool("dump-stats", false);
+  const bool race_check = cfg.GetBool("race-check", false);
   if (cfg.ReportParseErrors()) {
+    return 2;
+  }
+  if (mc.num_cores == 0 || mc.hwt.threads_per_core == 0) {
+    std::fprintf(stderr, "--cores and --threads-per-core must be at least 1\n");
     return 2;
   }
 
@@ -87,18 +97,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), assembled.error.c_str());
     return 1;
   }
-  if (!cfg.GetBool("no-lint", false)) {
+  Machine m(mc);
+  // Every thread count below is machine-wide: a ptid names a hardware thread
+  // on any core.
+  const uint32_t num_threads = m.threads().num_threads();
+  const std::vector<HarnessThread> threads = HarnessThreads(assembled.program);
+  if (!threads.empty() && threads.back().ptid >= num_threads) {
+    std::fprintf(stderr, "%s: t%u_entry names a thread beyond the machine's %u (%u x %u)\n",
+                 path.c_str(), threads.back().ptid, num_threads, mc.num_cores,
+                 mc.hwt.threads_per_core);
+    return 2;
+  }
+  if (lint) {
     analysis::LintOptions lo;
     lo.entry_symbol = cfg.GetString("entry");
-    lo.flow.entry_supervisor = cfg.GetBool("supervisor", true);
-    lo.flow.tdt_capacity = mc.hwt.threads_per_core;
-    const analysis::LintResult lint = analysis::Lint(assembled.program, lo);
-    analysis::PrintDiagnostics(lint, std::cerr);
+    lo.flow.entry_supervisor = supervisor;
+    lo.flow.tdt_capacity = num_threads;
+    analysis::PrintDiagnostics(analysis::Lint(assembled.program, lo), std::cerr);
   }
 
-  Machine m(mc);
   ThreadTracer tracer;
-  const bool trace_text = cfg.GetBool("trace", false);
   const std::string trace_json = cfg.GetString("trace-json");
   if (trace_text || !trace_json.empty()) {
     m.threads().SetTracer(&tracer);
@@ -111,36 +129,21 @@ int main(int argc, char** argv) {
     }
   });
 
-  verify::RaceDetector race_detector(mc.hwt.threads_per_core);
-  if (cfg.GetBool("race-check", false)) {
+  verify::RaceDetector race_detector(num_threads);
+  if (race_check) {
     m.SetConcurrencyObserver(&race_detector);
   }
 
   // Harness images describe their own machine setup; plain programs run on
   // thread 0.
-  const std::vector<verify::ThreadSpec> specs =
-      verify::ParseThreadSpecs(assembled.program, mc.hwt.threads_per_core);
-  Ptid p = 0;
-  if (specs.empty()) {
-    p = m.Load(0, 0, assembled.program, cfg.GetBool("supervisor", true),
-               cfg.GetString("entry"), /*edp=*/0);
-  } else {
-    m.mem().AddSupervisorOnlyRange(0, 0x1000);
-    assembled.program.LoadInto(m.mem().phys());
-    for (const verify::ThreadSpec& s : specs) {
-      m.threads().InitThread(s.ptid, s.entry, s.supervisor, s.edp, s.tdtr, s.tdt_size);
-    }
-    p = specs.front().ptid;
-  }
   const Tick start = m.sim().now();
-  if (specs.empty()) {
+  Ptid p = 0;
+  if (threads.empty()) {
+    p = m.Load(0, 0, assembled.program, supervisor, cfg.GetString("entry"), /*edp=*/0);
     m.Start(p);
   } else {
-    for (const verify::ThreadSpec& s : specs) {
-      if (s.auto_start) {
-        m.Start(s.ptid);
-      }
-    }
+    verify::BootHarness(m, assembled.program, threads);
+    p = threads.front().ptid;
   }
   // Drain events up to the budget without advancing the clock past the last
   // real event (so the cycle report is meaningful).
@@ -175,7 +178,7 @@ int main(int argc, char** argv) {
     std::printf("trace      : %s (%zu events%s)\n", trace_json.c_str(), tracer.events().size(),
                 tracer.dropped() > 0 ? ", TRUNCATED" : "");
   }
-  if (cfg.GetBool("dump-stats", false)) {
+  if (dump_stats) {
     m.sim().stats().Dump(std::cout);
   }
   const std::string stats_json = cfg.GetString("stats-json");
@@ -187,7 +190,7 @@ int main(int argc, char** argv) {
     }
     m.sim().stats().DumpJson(out);
   }
-  if (cfg.GetBool("race-check", false)) {
+  if (race_check) {
     for (const verify::RaceReport& r : race_detector.reports()) {
       std::fprintf(stderr, "%s\n",
                    verify::RaceDetector::Format(r, &assembled.program).c_str());

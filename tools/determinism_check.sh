@@ -6,8 +6,9 @@
 # uninitialized reads) — the kind that silently breaks differential fuzzing.
 #
 # With a casc_run binary and a program as extra arguments, the check also
-# runs that program twice on two cores, and both the stats dumps and stdout
-# must be byte-identical (cross-core traffic goes through the same check).
+# runs that program twice on two cores of one thread each, so its harness
+# thread t1 runs on core 1, and both the stats dumps and stdout must be
+# byte-identical (cross-core traffic goes through the same check).
 #
 # Usage: determinism_check.sh <examples-dir> <scratch-dir> [<casc_run> <prog.casm>]
 set -eu

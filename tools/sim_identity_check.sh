@@ -17,8 +17,9 @@
 #     at the default config, at `--cores=2`, and at `--cores=4
 #     --threads-per-core=1` (exit code, stdout, stderr and stats dump). With
 #     the default 64 threads per core, `--cores=2` still places every
-#     harness thread on core 0; the 4x1 run spreads t0..t3 over four cores,
-#     so cross-core tick ordering is compared too;
+#     harness thread on core 0; the 4x1 run puts harness thread tN on core
+#     N, so cross-core tick ordering is compared too (an image that declares
+#     t4 or beyond is refused there with exit 2, which is compared as well);
 #   * casc_chaos `--scenario=all` at seeds 1/7/42;
 #   * casc_fuzz `--seed=3 --iters=300`.
 #
