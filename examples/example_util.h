@@ -4,6 +4,8 @@
 //   --trace-json=<path>     write a Chrome trace_event JSON file
 //   --stats-json=<path>     write the final stats registry as JSON
 // All observe existing machine state; none costs anything when absent.
+// Each example reads every typed flag (ExampleTrace reads --trace) before
+// it calls Config::ReportParseErrors and exits 2 on a malformed value.
 #ifndef EXAMPLES_EXAMPLE_UTIL_H_
 #define EXAMPLES_EXAMPLE_UTIL_H_
 

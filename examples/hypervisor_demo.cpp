@@ -26,6 +26,9 @@ int main(int argc, char** argv) {
   }
   Machine m;
   ExampleTrace trace(m, cfg);
+  if (cfg.ReportParseErrors()) {
+    return 2;  // a malformed flag value must not silently become the default
+  }
   HypervisorConfig hv_cfg;
   hv_cfg.privileged = false;  // the headline configuration: ring-3 hypervisor
   Hypervisor hyp(m, 0, /*hyp_local=*/0, hv_cfg);

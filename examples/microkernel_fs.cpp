@@ -32,7 +32,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   Machine m;
+  const bool use_ring = cfg.GetBool("ring", false);
+  const uint32_t workers = static_cast<uint32_t>(cfg.GetUint("workers", 2));
+  const uint32_t batch = static_cast<uint32_t>(cfg.GetUint("batch", 3));
   ExampleTrace trace(m, cfg);
+  if (cfg.ReportParseErrors()) {
+    return 2;  // a malformed flag value must not silently become the default
+  }
   BlockDevice disk(m.sim(), m.mem(), BlockConfig{});
 
   // "Format" the disk: a toy 1-sector-per-file filesystem.
@@ -54,10 +60,6 @@ int main(int argc, char** argv) {
   m.mem().Write(0, drv.mmio_base + kBlkSqBase, 8, drv.sq_base);
   m.mem().Write(0, drv.mmio_base + kBlkSqSize, 8, drv.sq_size);
   m.mem().Write(0, drv.mmio_base + kBlkCqTailAddr, 8, drv.cq_tail);
-
-  const bool use_ring = cfg.GetBool("ring", false);
-  const uint32_t workers = static_cast<uint32_t>(cfg.GetUint("workers", 2));
-  const uint32_t batch = static_cast<uint32_t>(cfg.GetUint("batch", 3));
 
   // The file service: per-call channel by default, or the shared ring
   // transport (--ring) with a worker pool and batched submission.

@@ -27,6 +27,9 @@ int main(int argc, char** argv) {
   config.hwt.smt_width = 2;          // 2 SMT slots share the pipeline
   Machine m(config);
   ExampleTrace trace(m, cfg);
+  if (cfg.ReportParseErrors()) {
+    return 2;  // a malformed flag value must not silently become the default
+  }
 
   // Timestamps reported by the guest code via `hcall`.
   Tick produced_at = 0;

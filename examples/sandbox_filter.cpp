@@ -39,6 +39,9 @@ int main(int argc, char** argv) {
   }
   Machine m;
   ExampleTrace trace(m, cfg);
+  if (cfg.ReportParseErrors()) {
+    return 2;  // a malformed flag value must not silently become the default
+  }
   Nic nic(m.sim(), m.mem(), NicConfig{});
   const NicRings rings = SetupNicRings(m.mem(), nic, 0x02000000);
 

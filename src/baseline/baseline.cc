@@ -101,7 +101,54 @@ void BaselineCpu::FinishCurrent() {
   }
 }
 
+// Steps in place, the way Core::Cycle chains its ticks: when the next step
+// would be the next dispatch anyway (EventQueue::AdvanceIfIdle), the clock
+// moves to it and the loop goes on, which saves a heap round trip per step
+// and changes no tick and no firing order. A step whose Wake, Spawn or
+// RaiseIrq (from a handler, an on_finish or a thread body) already armed
+// step_event_ keeps ScheduleStep's pull-earlier rule instead: descheduling
+// and re-arming would draw a fresh sequence number and reorder same-tick
+// events.
 void BaselineCpu::Step() {
+  for (;;) {
+    const Tick delay = RunStep();
+    if (delay == kIdle) {
+      return;
+    }
+    if (step_event_.scheduled() ||
+        !sim_.queue().AdvanceIfIdle(sim_.now() + std::max<Tick>(1, delay))) {
+      ScheduleStep(delay);
+      return;
+    }
+  }
+}
+
+// One chunk of kOpCheckInterval cycles (the IRQ-check granularity), or the
+// whole rest once it fits. Further chunk boundaries are taken here too when
+// nothing could observe them: each lies strictly before the first tick the
+// queue would not let this core take in place (so no event fires in
+// between, and no IRQ or wake can arrive), and, while another thread waits,
+// strictly before the quantum expires. Each such boundary would have been a
+// step that found no IRQ, no preemption and the same op, and took one more
+// chunk. At least one cycle is left, so the step that completes the op runs
+// as before.
+Tick BaselineCpu::ComputeCycles(Tick left) {
+  if (left <= kOpCheckInterval || step_event_.scheduled()) {
+    // An armed step_event_ brings the next step to the end of this chunk or
+    // sooner; see Step.
+    return std::max<Tick>(1, std::min(left, kOpCheckInterval));
+  }
+  const Tick now = sim_.now();
+  Tick horizon = sim_.queue().AdvanceHorizon();
+  if (config_.quantum != 0 && !runqueue_.empty()) {
+    horizon = std::min(horizon, dispatched_at_ + config_.quantum);
+  }
+  // Boundaries now + j * kOpCheckInterval, j >= 1, strictly before horizon.
+  const Tick boundaries = horizon > now ? (horizon - now - 1) / kOpCheckInterval : 0;
+  return std::min(boundaries + 1, (left - 1) / kOpCheckInterval) * kOpCheckInterval;
+}
+
+Tick BaselineCpu::RunStep() {
   // 1. Interrupts win: they preempt whatever is on the logical core.
   if (!pending_irqs_.empty()) {
     const uint32_t vector = pending_irqs_.front();
@@ -115,15 +162,14 @@ void BaselineCpu::Step() {
     }
     const Tick lat = kIrqEntryCycles + handler_cycles + kIrqExitCycles;
     stat_busy_cycles_ += lat;
-    ScheduleStep(lat);
-    return;
+    return lat;
   }
 
   // 2. Nothing on-cpu: dispatch from the runqueue (full switch-in cost).
   if (current_ == nullptr) {
     SoftThread* next = PickNext();
     if (next == nullptr) {
-      return;  // idle; Wake()/RaiseIrq() re-arms
+      return kIdle;  // Wake()/RaiseIrq() re-arms
     }
     current_ = next;
     current_->state_ = SoftThread::State::kRunning;
@@ -132,8 +178,7 @@ void BaselineCpu::Step() {
     const Tick cost = kSchedPickCycles + kSwitchSwCycles +
                       StateTraffic(current_->tcb(), /*is_write=*/false);
     stat_busy_cycles_ += cost;
-    ScheduleStep(cost);
-    return;
+    return cost;
   }
 
   // 3. Quantum preemption at op boundaries.
@@ -145,8 +190,7 @@ void BaselineCpu::Step() {
     runqueue_.push_back(t);
     const Tick save = StateTraffic(t->tcb(), /*is_write=*/true);
     stat_busy_cycles_ += save;
-    ScheduleStep(save);
-    return;
+    return save;
   }
 
   // 4. Advance the current thread by one op (or one compute chunk).
@@ -158,29 +202,24 @@ void BaselineCpu::Step() {
     }
     ctx.ResumeLeaf(current_->task_.handle());
     if (current_->task_.done()) {
-      const Tick teardown = kSwitchSwCycles;
       FinishCurrent();
-      ScheduleStep(teardown);
-      return;
+      return kSwitchSwCycles;  // teardown
     }
     if (!ctx.has_pending()) {
-      ScheduleStep(1);  // bare suspension: one-cycle yield
-      return;
+      return 1;  // bare suspension: one-cycle yield
     }
   }
 
   SoftOp& op = ctx.pending();
   Tick lat = 1;
   switch (op.kind) {
-    case SoftOp::Kind::kCompute: {
-      const Tick chunk = std::max<Tick>(1, std::min(op.cycles, kOpCheckInterval));
-      op.cycles -= std::min(op.cycles, chunk);
-      lat = chunk;
+    case SoftOp::Kind::kCompute:
+      lat = ComputeCycles(op.cycles);
+      op.cycles -= std::min(op.cycles, lat);
       if (op.cycles == 0) {
         ctx.Complete(0);
       }
       break;
-    }
     case SoftOp::Kind::kLoad: {
       uint64_t value = 0;
       lat = mem_.Read(core_, op.addr, op.size, &value);
@@ -248,7 +287,7 @@ void BaselineCpu::Step() {
       break;
   }
   stat_busy_cycles_ += lat;
-  ScheduleStep(lat);
+  return lat;
 }
 
 }  // namespace casc

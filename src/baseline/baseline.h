@@ -18,6 +18,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -44,6 +45,8 @@ inline constexpr Tick kSwitchSwCycles = 150;
 // Exit latency from the idle (halted) state when an IRQ arrives.
 inline constexpr Tick kIdleWakeCycles = 900;
 // Max compute chunk between interrupt checks (pipeline drain granularity).
+// Chunk boundaries nothing can observe are stepped in closed form; see
+// BaselineCpu::ComputeCycles.
 inline constexpr Tick kOpCheckInterval = 10;
 // TCB region (where saved register state lives).
 inline constexpr Addr kTcbBase = 0x01000000;
@@ -197,7 +200,15 @@ class BaselineCpu : public IrqSink {
   uint64_t irqs_handled() const { return stat_irqs_.get(); }
 
  private:
+  // RunStep's result when the core went idle (no delay to schedule).
+  static constexpr Tick kIdle = std::numeric_limits<Tick>::max();
+  // The step event: runs steps in place while each next step would be the
+  // next dispatch anyway, then schedules the one after.
   void Step();
+  // One step of the core; returns its delay until the next step, or kIdle.
+  Tick RunStep();
+  // The cycles a compute op with `left` cycles still to go takes this step.
+  Tick ComputeCycles(Tick left);
   void ScheduleStep(Tick delay);
   // Charges the full software context-switch path (save + pick + restore)
   // with real TCB memory traffic; returns its latency.

@@ -75,17 +75,6 @@ void EventQueue::AddEntry(const Entry& entry) {
   std::push_heap(heap_.begin(), heap_.end(), HeapCmp{});
 }
 
-void EventQueue::PopTop() {
-  std::pop_heap(heap_.begin(), heap_.end(), HeapCmp{});
-  heap_.pop_back();
-}
-
-void EventQueue::DropDeadTop() {
-  while (!heap_.empty() && !IsLive(heap_.front())) {
-    PopTop();
-  }
-}
-
 void EventQueue::MaybeCompact() {
   // Compact when stale entries outnumber live ones (>50% dead) and there is
   // enough bulk for the O(n) sweep to pay off.
@@ -96,17 +85,6 @@ void EventQueue::MaybeCompact() {
   std::erase_if(heap_, [](const Entry& e) { return !IsLive(e); });
   std::make_heap(heap_.begin(), heap_.end(), HeapCmp{});
   assert(heap_.size() == heap_live);
-}
-
-Tick EventQueue::NextTick() const {
-  // Logically const: dropping dead entries off the top does not change the
-  // observable queue state.
-  const_cast<EventQueue*>(this)->DropDeadTop();
-  Tick next = heap_.empty() ? std::numeric_limits<Tick>::max() : heap_.front().when;
-  for (const Lane& lane : lanes_) {
-    next = std::min(next, lane.when);
-  }
-  return next;
 }
 
 bool EventQueue::FireNext(Tick limit, bool bulk) {

@@ -235,6 +235,9 @@ DiffFailure RunDifferential(const Program& program, const DiffOptions& opts) {
         return Fail(p.name, "invariant", inv);
       }
     }
+    if (detector && !detector->errors().empty()) {
+      return Fail(p.name, "race", detector->errors().front());
+    }
     if (detector && !detector->clean()) {
       return Fail(p.name, "race",
                   RaceDetector::Format(detector->reports().front(), &program) +

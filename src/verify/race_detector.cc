@@ -1,5 +1,6 @@
 #include "src/verify/race_detector.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace casc {
@@ -26,6 +27,18 @@ RaceDetector::RaceDetector(uint32_t num_threads)
   for (uint32_t p = 0; p < num_threads; p++) {
     clock_[p][p] = 1;
   }
+}
+
+bool RaceDetector::Known(Ptid ptid) {
+  if (ptid < clock_.size()) {
+    return true;
+  }
+  if (std::find(unknown_ptids_.begin(), unknown_ptids_.end(), ptid) == unknown_ptids_.end()) {
+    unknown_ptids_.push_back(ptid);
+    errors_.push_back("race detector: ptid " + std::to_string(ptid) + " is beyond its " +
+                      std::to_string(clock_.size()) + " thread(s)");
+  }
+  return false;
 }
 
 void RaceDetector::Join(std::vector<uint64_t>* into, const std::vector<uint64_t>& from) {
@@ -123,6 +136,9 @@ void RaceDetector::CheckAndRecord(Ptid ptid, Addr addr, uint32_t size, Addr pc,
 }
 
 void RaceDetector::OnLoad(Ptid ptid, Addr addr, uint32_t size, Addr pc) {
+  if (!Known(ptid)) {
+    return;
+  }
   if (AllLinesArmedBy(ptid, addr, size)) {
     return;  // guarded re-check of the thread's own watched line: sync access
   }
@@ -130,6 +146,9 @@ void RaceDetector::OnLoad(Ptid ptid, Addr addr, uint32_t size, Addr pc) {
 }
 
 void RaceDetector::OnStore(Ptid ptid, Addr addr, uint32_t size, Addr pc) {
+  if (!Known(ptid)) {
+    return;
+  }
   if (AnyLineWatched(addr, size)) {
     ReleaseInto(ptid, addr, size);  // release half of a monitor handshake
     return;
@@ -138,6 +157,9 @@ void RaceDetector::OnStore(Ptid ptid, Addr addr, uint32_t size, Addr pc) {
 }
 
 void RaceDetector::OnAtomic(Ptid ptid, Addr addr, uint32_t size, Addr pc) {
+  if (!Known(ptid)) {
+    return;
+  }
   if (AnyLineWatched(addr, size)) {
     ReleaseInto(ptid, addr, size);
     return;
@@ -146,32 +168,50 @@ void RaceDetector::OnAtomic(Ptid ptid, Addr addr, uint32_t size, Addr pc) {
 }
 
 void RaceDetector::OnThreadStart(Ptid issuer, Ptid target) {
+  if (!Known(issuer) || !Known(target)) {
+    return;
+  }
   Join(&clock_[target], clock_[issuer]);
   clock_[issuer][issuer]++;
 }
 
 void RaceDetector::OnThreadStop(Ptid issuer, Ptid target) {
+  if (!Known(issuer) || !Known(target)) {
+    return;
+  }
   Join(&clock_[issuer], clock_[target]);
   clock_[target][target]++;
 }
 
 void RaceDetector::OnRpull(Ptid issuer, Ptid target) {
+  if (!Known(issuer) || !Known(target)) {
+    return;
+  }
   Join(&clock_[issuer], clock_[target]);
   clock_[target][target]++;
 }
 
 void RaceDetector::OnRpush(Ptid issuer, Ptid target) {
+  if (!Known(issuer) || !Known(target)) {
+    return;
+  }
   Join(&clock_[target], clock_[issuer]);
   clock_[issuer][issuer]++;
 }
 
 void RaceDetector::OnMonitorArm(Ptid ptid, Addr line) {
+  if (!Known(ptid)) {
+    return;
+  }
   if (armed_[ptid].insert(line).second) {
     watch_count_[line]++;
   }
 }
 
 void RaceDetector::OnMwaitReturn(Ptid ptid) {
+  if (!Known(ptid)) {
+    return;
+  }
   for (Addr line : armed_[ptid]) {
     auto it = line_clock_.find(line);
     if (it != line_clock_.end()) {
@@ -181,6 +221,9 @@ void RaceDetector::OnMwaitReturn(Ptid ptid) {
 }
 
 void RaceDetector::OnMonitorDisarm(Ptid ptid, Addr line) {
+  if (!Known(ptid)) {
+    return;
+  }
   if (armed_[ptid].erase(line) > 0) {
     auto it = watch_count_.find(line);
     if (it != watch_count_.end() && it->second > 0) {
@@ -190,6 +233,9 @@ void RaceDetector::OnMonitorDisarm(Ptid ptid, Addr line) {
 }
 
 void RaceDetector::OnThreadDisabled(Ptid ptid) {
+  if (!Known(ptid)) {
+    return;
+  }
   for (Addr line : armed_[ptid]) {
     auto it = watch_count_.find(line);
     if (it != watch_count_.end() && it->second > 0) {

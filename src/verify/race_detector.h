@@ -55,7 +55,11 @@ class RaceDetector : public ConcurrencyObserver {
 
   // Distinct racy pairs, in detection order, capped at kMaxReports.
   const std::vector<RaceReport>& reports() const { return reports_; }
-  bool clean() const { return reports_.empty(); }
+  // One message per ptid at or beyond num_threads that an observer call
+  // named (a detector sized short for the machine), in first-seen order.
+  // Such a call is otherwise ignored.
+  const std::vector<std::string>& errors() const { return errors_; }
+  bool clean() const { return reports_.empty() && errors_.empty(); }
   // Total pair hits including ones deduplicated away.
   uint64_t race_hits() const { return race_hits_; }
 
@@ -96,6 +100,8 @@ class RaceDetector : public ConcurrencyObserver {
   bool OrderedBefore(Ptid ptid, uint64_t clk, Ptid observer) const {
     return clk <= clock_[observer][ptid];
   }
+  // True if `ptid` is within num_threads; otherwise records an error.
+  bool Known(Ptid ptid);
   bool AnyLineWatched(Addr addr, uint32_t size) const;
   bool AllLinesArmedBy(Ptid ptid, Addr addr, uint32_t size) const;
   void ReleaseInto(Ptid ptid, Addr addr, uint32_t size);
@@ -109,6 +115,8 @@ class RaceDetector : public ConcurrencyObserver {
   std::unordered_map<Addr, uint32_t> watch_count_;   // line -> #threads watching
   std::unordered_map<Addr, ByteState> shadow_;       // per byte
   std::vector<RaceReport> reports_;
+  std::vector<std::string> errors_;
+  std::vector<Ptid> unknown_ptids_;  // the ptids errors_ names
   std::set<std::tuple<Addr, Addr, Ptid, Ptid, bool, bool>> reported_;  // dedup
   uint64_t race_hits_ = 0;
 };

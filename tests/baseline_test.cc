@@ -3,9 +3,14 @@
 // preemption, quantum round robin, syscall mode switches, and VM-exits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "src/baseline/baseline_machine.h"
 #include "src/dev/apic_timer.h"
 #include "src/dev/nic.h"
+#include "src/sim/rng.h"
 
 namespace casc {
 namespace {
@@ -333,6 +338,240 @@ TEST(BaselineTest, WakeOnFinishedThreadIsNoOp) {
   m.cpu(0).Wake(t);  // must not re-enqueue a finished thread
   ASSERT_TRUE(m.RunToQuiescence());
   EXPECT_EQ(t->state(), SoftThread::State::kFinished);
+}
+
+// What a differential run observes: every op completion and IRQ handler
+// entry as (tick, who, what), per-cpu counters, the final tick and the
+// number of dispatched events.
+struct StepTrace {
+  std::vector<std::tuple<Tick, uint32_t, uint32_t>> log;
+  std::vector<uint64_t> counters;
+  Tick final_tick = 0;
+  uint64_t events = 0;
+};
+
+// One random scenario on 1-2 cpus, built from `seed` alone. With
+// `one_dispatch` it runs as a RunOne loop, which never advances in place;
+// otherwise as RunUntil segments (some ending mid-compute) and a RunAll.
+StepTrace RunSteppingScenario(uint64_t seed, bool one_dispatch) {
+  enum class OpKind { kCompute, kLoad, kStore, kYield, kBlock, kWake, kSpawn, kRaise };
+  struct Op {
+    OpKind kind;
+    uint64_t arg;
+  };
+  Rng rng(seed);
+  BaselineMachineConfig cfg;
+  cfg.num_cpus = static_cast<uint32_t>(rng.NextRange(1, 2));
+  const uint64_t quantum_kind = rng.NextBounded(3);
+  // A small quantum still exceeds the switch-in cost: one below it would
+  // preempt every dispatch at its first step and never finish.
+  cfg.cpu.quantum = quantum_kind == 0 ? 0 : quantum_kind == 1 ? rng.NextRange(1000, 2500) : 30000;
+  BaselineMachine m(cfg);
+  StepTrace tr;
+  auto log = [&tr, &m](uint32_t who, uint32_t what) {
+    tr.log.emplace_back(m.sim().now(), who, what);
+  };
+  // Compute lengths sit on, just below and just above multiples of the
+  // chunk size, with some long enough to cross a quantum.
+  auto compute_len = [&rng] {
+    const Tick base = kOpCheckInterval * rng.NextBounded(rng.NextBool(0.3) ? 400 : 40);
+    const Tick off = rng.NextBounded(4);  // 0, +1, +2 or -1
+    return off == 3 ? (base == 0 ? 0 : base - 1) : base + off;
+  };
+
+  std::vector<std::pair<CoreId, SoftThread*>> threads;
+  const uint32_t nthreads = static_cast<uint32_t>(rng.NextRange(1, 5));
+  for (uint32_t t = 0; t < nthreads; t++) {
+    const CoreId cpu = static_cast<CoreId>(rng.NextBounded(cfg.num_cpus));
+    std::vector<Op> ops;
+    const uint64_t nops = rng.NextRange(3, 12);
+    for (uint64_t i = 0; i < nops; i++) {
+      const uint64_t r = rng.NextBounded(100);
+      if (r < 50) {
+        ops.push_back({OpKind::kCompute, compute_len()});
+      } else if (r < 60) {
+        ops.push_back({OpKind::kLoad, 0x200000 + 8 * rng.NextBounded(64)});
+      } else if (r < 70) {
+        ops.push_back({OpKind::kStore, 0x200000 + 8 * rng.NextBounded(64)});
+      } else if (r < 78) {
+        ops.push_back({OpKind::kYield, 0});
+      } else if (r < 86) {
+        ops.push_back({OpKind::kBlock, 0});
+      } else if (r < 91) {
+        ops.push_back({OpKind::kWake, rng.NextBounded(nthreads)});
+      } else if (r < 96) {
+        ops.push_back({OpKind::kRaise, compute_len()});
+      } else {
+        ops.push_back({OpKind::kSpawn, compute_len()});
+      }
+    }
+    SoftThread* thread = m.cpu(cpu).Spawn(
+        "t" + std::to_string(t),
+        [&, t, cpu, ops](SoftContext& ctx) -> GuestTask {
+          for (uint32_t i = 0; i < ops.size(); i++) {
+            const Op& op = ops[i];
+            switch (op.kind) {
+              case OpKind::kCompute:
+                co_await ctx.Compute(op.arg);
+                break;
+              case OpKind::kLoad:
+                co_await ctx.Load(op.arg);
+                break;
+              case OpKind::kStore:
+                co_await ctx.Store(op.arg, i);
+                break;
+              case OpKind::kYield:
+                co_await ctx.Yield();
+                break;
+              case OpKind::kBlock:
+                co_await ctx.Block();
+                break;
+              case OpKind::kWake: {
+                const auto& [wcpu, wthread] = threads[op.arg];
+                m.cpu(wcpu).Wake(wthread);
+                co_await ctx.Compute(1);
+                break;
+              }
+              case OpKind::kSpawn: {
+                const uint32_t child = 1000 + t * 100 + i;
+                const Tick len = op.arg;
+                m.cpu(cpu).Spawn(
+                    "child",
+                    [&log, child, len](SoftContext& cctx) -> GuestTask {
+                      co_await cctx.Compute(len);
+                      log(child, 0);
+                      co_await cctx.Store(0x210000, child);
+                      log(child, 1);
+                    },
+                    [&log, child] { log(child, 2); });
+                co_await ctx.Compute(1);
+                break;
+              }
+              case OpKind::kRaise:
+                // Arms step_event_ kIdleWakeCycles out, from inside a step,
+                // ahead of a compute op in the same step.
+                m.cpu(cpu).RaiseIrq(1);
+                co_await ctx.Compute(op.arg);
+                break;
+            }
+            log(t, i);
+          }
+        },
+        [&log, t] { log(t, 999); });
+    threads.emplace_back(cpu, thread);
+  }
+
+  // IRQ handlers log their entry; vector 2's also wakes one of the cpu's
+  // threads if it is blocked, round robin.
+  for (CoreId c = 0; c < cfg.num_cpus; c++) {
+    const Tick cycles = rng.NextRange(0, 600);
+    m.cpu(c).SetIrqHandler(1, [&log, c, cycles] {
+      log(2000 + c, 1);
+      return cycles;
+    });
+    m.cpu(c).SetIrqHandler(2, [&, c, cycles, next = size_t{0}]() mutable {
+      log(2000 + c, 2);
+      for (size_t k = 0; k < threads.size(); k++) {
+        const auto& [tcpu, thread] = threads[(next + k) % threads.size()];
+        if (tcpu == c && thread->state() == SoftThread::State::kBlocked) {
+          m.cpu(c).Wake(thread);
+          next = (next + k + 1) % threads.size();
+          break;
+        }
+      }
+      return cycles;
+    });
+  }
+  // One-shot IRQs on one tick phase mod kOpCheckInterval and next to it, so
+  // that some land on chunk boundaries and some a cycle either side.
+  const Tick phase = rng.NextBounded(kOpCheckInterval);
+  const uint64_t nirqs = rng.NextRange(0, 12);
+  for (uint64_t i = 0; i < nirqs; i++) {
+    const Tick at = kOpCheckInterval * rng.NextRange(1, 1500) + phase + rng.NextBounded(3) - 1;
+    const CoreId c = static_cast<CoreId>(rng.NextBounded(cfg.num_cpus));
+    const uint32_t vector = static_cast<uint32_t>(rng.NextRange(1, 2));
+    m.sim().queue().ScheduleFn(at, [&m, c, vector] { m.cpu(c).RaiseIrq(vector); });
+  }
+  std::vector<Tick> limits;
+  for (uint64_t i = rng.NextRange(0, 6); i > 0; i--) {
+    limits.push_back(rng.NextRange(1, 15000));
+  }
+  std::sort(limits.begin(), limits.end());
+
+  EventQueue& q = m.sim().queue();
+  if (one_dispatch) {
+    while (q.RunOne()) {
+    }
+    // RunUntil leaves the clock at its limit at least.
+    tr.final_tick = std::max(m.sim().now(), limits.empty() ? 0 : limits.back());
+  } else {
+    for (Tick limit : limits) {
+      q.RunUntil(limit);
+    }
+    q.RunAll();
+    tr.final_tick = m.sim().now();
+  }
+  tr.events = q.events_fired();
+  for (CoreId c = 0; c < cfg.num_cpus; c++) {
+    tr.counters.push_back(m.sim().stats().GetCounter(
+        "baseline.cpu" + std::to_string(c) + ".busy_cycles"));
+    tr.counters.push_back(m.cpu(c).context_switches());
+    tr.counters.push_back(m.cpu(c).irqs_handled());
+  }
+  return tr;
+}
+
+// A worker computes 10000 cycles; an IRQ raised at tick 3000 runs a
+// 200-cycle handler that may Wake a blocked thread. Returns the worker's
+// finish tick and the cpu's busy_cycles.
+std::pair<Tick, uint64_t> RunWakingIrqProbe(bool wake, bool one_dispatch) {
+  BaselineMachine m;
+  Tick done = 0;
+  SoftThread* sleeper = m.cpu(0).Spawn(
+      "sleeper", [](SoftContext& ctx) -> GuestTask { co_await ctx.Block(); });
+  m.cpu(0).Spawn(
+      "worker", [](SoftContext& ctx) -> GuestTask { co_await ctx.Compute(10000); },
+      [&] { done = m.sim().now(); });
+  m.cpu(0).SetIrqHandler(1, [&] {
+    if (wake) {
+      m.cpu(0).Wake(sleeper);
+    }
+    return Tick{200};
+  });
+  m.sim().queue().ScheduleFn(3000, [&] { m.cpu(0).RaiseIrq(1); });
+  if (one_dispatch) {
+    while (m.sim().queue().RunOne()) {
+    }
+  } else {
+    m.sim().queue().RunAll();
+  }
+  return {done, m.sim().stats().GetCounter("baseline.cpu0.busy_cycles")};
+}
+
+// Step's in-place chain and ComputeCycles' closed-form chunks must leave
+// every tick where one-dispatch-per-step stepping puts it.
+TEST(BaselineTest, InPlaceSteppingMatchesOneDispatchStepping) {
+  // Both modes share the pull-earlier rule, so pin it first: the handler's
+  // Wake arms the step one cycle out and the IRQ's own delay cannot push it
+  // later, so the IRQ costs 1 cycle of timeline while busy_cycles charges
+  // all 750. These ticks are the one-step-per-dispatch model's.
+  for (bool one_dispatch : {true, false}) {
+    EXPECT_EQ(RunWakingIrqProbe(false, one_dispatch), std::make_pair(Tick{12099}, uint64_t{12098}));
+    EXPECT_EQ(RunWakingIrqProbe(true, one_dispatch), std::make_pair(Tick{11350}, uint64_t{12510}));
+  }
+  uint64_t events_in_place = 0;
+  uint64_t events_one_dispatch = 0;
+  for (uint64_t seed = 1; seed <= 300; seed++) {
+    const StepTrace ref = RunSteppingScenario(seed, /*one_dispatch=*/true);
+    const StepTrace got = RunSteppingScenario(seed, /*one_dispatch=*/false);
+    ASSERT_EQ(got.log, ref.log) << "seed " << seed;
+    ASSERT_EQ(got.counters, ref.counters) << "seed " << seed;
+    ASSERT_EQ(got.final_tick, ref.final_tick) << "seed " << seed;
+    events_in_place += got.events;
+    events_one_dispatch += ref.events;
+  }
+  // The in-place paths really ran: most steps took no dispatch.
+  EXPECT_LT(events_in_place * 2, events_one_dispatch);
 }
 
 }  // namespace

@@ -464,6 +464,29 @@ TEST(DynamicRace, FormatNamesBothSites) {
   EXPECT_NE(text.find("line"), std::string::npos);  // symbolized via Program
 }
 
+// A detector sized short for the machine reports the ptids it was not
+// built for instead of indexing past its clocks.
+TEST(DynamicRace, PtidBeyondDetectorIsAReportedError) {
+  verify::RaceDetector detector(2);
+  detector.OnStore(2, 0x2000, 8, 0x1000);
+  detector.OnThreadStart(0, 7);
+  detector.OnThreadStop(9, 1);
+  detector.OnLoad(2, 0x2000, 8, 0x1004);  // ptid 2 again: one error per ptid
+  detector.OnMonitorArm(3, 0x2000);
+  detector.OnMwaitReturn(3);
+  detector.OnThreadDisabled(4);
+  EXPECT_FALSE(detector.clean());
+  EXPECT_TRUE(detector.reports().empty());
+  ASSERT_EQ(detector.errors().size(), 5u);
+  EXPECT_NE(detector.errors()[0].find("ptid 2 is beyond its 2 thread(s)"), std::string::npos);
+  EXPECT_NE(detector.errors()[1].find("ptid 7"), std::string::npos);
+  EXPECT_NE(detector.errors()[2].find("ptid 9"), std::string::npos);
+  // Threads the detector was built for are still checked as before.
+  detector.OnStore(0, 0x3000, 8, 0x1000);
+  detector.OnStore(1, 0x3000, 8, 0x1008);
+  EXPECT_EQ(detector.reports().size(), 1u);
+}
+
 // t0 declares t0_tdt but no t0_tdt_end. Under the one harness rule that is
 // no TDT at all, so `start 1` goes through the supervisor identity map to
 // ptid 1: the simulator runs t1, and the static tier must treat t1 as live

@@ -116,11 +116,12 @@ int main(int argc, char** argv) {
   opts.points = ParsePoints(cfg.GetString("points"));
   opts.check_determinism = cfg.GetBool("determinism", false);
   opts.race_check = cfg.GetBool("race-check", false);
-  opts.num_cores = static_cast<uint32_t>(cfg.GetUint("cores", 1));
-  if (opts.num_cores != 1 && opts.num_cores != 2) {
+  const uint64_t cores = cfg.GetUint("cores", 1);  // checked before narrowing
+  if (cores != 1 && cores != 2) {
     std::fprintf(stderr, "--cores must be 1 or 2\n");
     return 2;
   }
+  opts.num_cores = static_cast<uint32_t>(cores);
   if (cfg.GetBool("chaos", false)) {
     const uint32_t mask = static_cast<uint32_t>(cfg.GetUint("fault-mask", kChaosMaskAll));
     if (mask == 0 || mask > kChaosMaskAll) {

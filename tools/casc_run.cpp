@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "src/analysis/lint.h"
@@ -75,9 +76,8 @@ int main(int argc, char** argv) {
   std::ostringstream ss;
   ss << in.rdbuf();
 
-  MachineConfig mc;
-  mc.num_cores = static_cast<uint32_t>(cfg.GetUint("cores", 1));
-  mc.hwt.threads_per_core = static_cast<uint32_t>(cfg.GetUint("threads-per-core", 64));
+  const uint64_t cores = cfg.GetUint("cores", 1);
+  const uint64_t threads_per_core = cfg.GetUint("threads-per-core", 64);
   const uint64_t max_cycles = cfg.GetUint("max-cycles", 100'000'000);
   const bool supervisor = cfg.GetBool("supervisor", true);
   const bool lint = !cfg.GetBool("no-lint", false);
@@ -87,10 +87,19 @@ int main(int argc, char** argv) {
   if (cfg.ReportParseErrors()) {
     return 2;
   }
-  if (mc.num_cores == 0 || mc.hwt.threads_per_core == 0) {
-    std::fprintf(stderr, "--cores and --threads-per-core must be at least 1\n");
+  // Checked before narrowing (--cores=4294967297 must not run on one core):
+  // the machine-wide thread count, and so each factor, must fit a ptid.
+  constexpr uint64_t kMaxThreads = std::numeric_limits<Ptid>::max();
+  if (cores == 0 || threads_per_core == 0 || cores > kMaxThreads / threads_per_core) {
+    std::fprintf(stderr,
+                 "--cores and --threads-per-core must be at least 1, with at most %llu threads "
+                 "in all\n",
+                 (unsigned long long)kMaxThreads);
     return 2;
   }
+  MachineConfig mc;
+  mc.num_cores = static_cast<uint32_t>(cores);
+  mc.hwt.threads_per_core = static_cast<uint32_t>(threads_per_core);
 
   const AssembleResult assembled = Assembler::Assemble(ss.str(), /*base=*/0x1000);
   if (!assembled.ok) {
@@ -191,6 +200,9 @@ int main(int argc, char** argv) {
     m.sim().stats().DumpJson(out);
   }
   if (race_check) {
+    for (const std::string& e : race_detector.errors()) {
+      std::fprintf(stderr, "%s\n", e.c_str());
+    }
     for (const verify::RaceReport& r : race_detector.reports()) {
       std::fprintf(stderr, "%s\n",
                    verify::RaceDetector::Format(r, &assembled.program).c_str());
