@@ -36,7 +36,6 @@ Core::Core(Simulation& sim, MemorySystem& mem, ThreadSystem& ts, CoreId id)
       stat_idle_wakeups_(sim.stats().Intern("cpu.core" + std::to_string(id) + ".idle_wakeups")) {
   picked_.resize(ts.config().smt_width);
   sim_.queue().RegisterLane(&tick_event_);
-  mem_.AddCodeWriteListener([this](Addr line) { InvalidatePredecodeLine(line); });
 }
 
 void Core::InvalidatePredecodeAll() {
@@ -48,6 +47,13 @@ void Core::InvalidatePredecodeAll() {
 }
 
 void Core::FillPredecodeLine(PredecodedLine& line, Addr base) {
+  // Writes can only stale predecoded lines once there are some, so a core
+  // hears of them from its first fill on; one that never interprets code
+  // costs the write path nothing.
+  if (!hears_code_writes_) {
+    hears_code_writes_ = true;
+    mem_.AddCodeWriteListener([this](Addr written) { InvalidatePredecodeLine(written); });
+  }
   constexpr size_t kSlots = kLineSize / kInstBytes;
   for (size_t i = 0; i < kSlots; i++) {
     DecodedSlot& s = line.slots[i];
@@ -203,13 +209,24 @@ void Core::ScheduleLane(Tick next) {
 Tick Core::QuietUntil(Tick at) const {
   const SchedQueue& q = ts_.queue(id_);
   const size_t n = q.Size();
-  if (!any_native_ || n == 0 || n > ts_.config().smt_width || ts_.halted()) {
+  if (!any_native_ || n == 0 || ts_.halted()) {
     return at;
   }
+  const uint32_t width = ts_.config().smt_width;
   Tick until = std::numeric_limits<Tick>::max();
+  uint32_t ready = 0;
   for (size_t i = 0; i < n; i++) {
     const HwThread& t = *q.thread_at(i);
-    if (t.state() != ThreadState::kRunnable || t.ready_at() > at || ts_.NeedsRestore(t.ptid())) {
+    if (t.state() != ThreadState::kRunnable) {
+      return at;
+    }
+    if (t.ready_at() > at) {
+      // Waiting on a latency: never picked before its ready_at, the first
+      // tick it may take a slot and run something other than a compute.
+      until = std::min(until, t.ready_at());
+      continue;
+    }
+    if (++ready > width || ts_.NeedsRestore(t.ptid())) {
       return at;
     }
     const NativeState& ns = native_[t.ptid() - ptid_base_];
@@ -222,16 +239,18 @@ Tick Core::QuietUntil(Tick at) const {
     const Tick cycles = std::max<Tick>(1, ns.ctx->pending().cycles);
     until = std::min(until, cycles > until - at ? until : at + cycles);
   }
-  return until;
+  return ready == 0 ? at : until;
 }
 
 void Core::AdvanceQuiet(Tick from, Tick to) {
-  // k quiet Cycle ticks: every thread is picked each tick, in rotation order
-  // from the cursor, steps one compute cycle (ready again the next tick) and
-  // is touched; each tick retires one instruction per thread.
+  // k quiet Cycle ticks: every ready thread is picked each tick, in
+  // rotation order from the cursor, steps one compute cycle (ready again the
+  // next tick) and is touched; each tick retires one instruction per ready
+  // thread. The waiting threads are not ready before `to`: never picked.
   const uint64_t k = to - from;
   SchedQueue& q = ts_.queue(id_);
-  const uint32_t n = q.PickAllFor(k, picked_.data());
+  const uint32_t n = q.PickAllFor(k, from, picked_.data());
+  quiet_steps_with_waiters_ += n < q.Size();
   for (uint32_t i = 0; i < n; i++) {
     HwThread* t = picked_[i];
     GuestContext& ctx = *native_[t->ptid() - ptid_base_].ctx;

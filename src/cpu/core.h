@@ -90,6 +90,10 @@ class Core {
   // system, e.g. Program::LoadInto at Machine::Load time.
   void InvalidatePredecodeAll();
 
+  // Bulk steps of quiet ticks taken while some rotation thread was still
+  // waiting on a latency (host-side; tests check the path is taken).
+  uint64_t quiet_steps_with_waiters() const { return quiet_steps_with_waiters_; }
+
   uint64_t predecode_hits() const { return stat_predecode_hits_; }
   uint64_t predecode_misses() const { return stat_predecode_misses_; }
   // Fully-fused pair executions (head + staged tail) per pattern, and total.
@@ -157,11 +161,13 @@ class Core {
 
   void Cycle();
   // Quiet ticks (DESIGN.md §4e "Quiet lanes"). A tick is quiet when every
-  // thread in the rotation is a ready, restored native thread whose live
-  // task is mid-Compute, and the rotation fits the SMT slots: every thread
-  // is picked and burns one compute cycle, touching only this core's state.
-  // QuietUntil returns the first tick >= `at` that is not quiet, assuming
-  // the core ticks at `at` (so `at` itself when `at` is not quiet).
+  // thread in the rotation is runnable, every ready one is a restored
+  // native thread whose live task is mid-Compute, and the ready ones fit
+  // the SMT slots: each is picked and burns one compute cycle, touching
+  // only this core's state. A thread not yet ready bounds the stretch at
+  // its ready_at. QuietUntil returns the first tick >= `at` that is not
+  // quiet, assuming the core ticks at `at` (so `at` itself when `at` is not
+  // quiet).
   Tick QuietUntil(Tick at) const;
   // Ends an in-place tick chain: caches QuietUntil(next) for the lane and
   // schedules it. Out of line, so that Cycle's per-tick loop compiles as it
@@ -327,9 +333,11 @@ class Core {
   ConcurrencyObserver* chb_ = nullptr;
   // Bumped on every predecode fill/invalidation; validates continuations.
   uint64_t code_epoch_ = 1;
+  bool hears_code_writes_ = false;  // code-write listener registered (first fill)
   Ptid ptid_base_;                // first local ptid; indexes native_ and cont_
   std::vector<FusedCont> cont_;   // one staged continuation per local thread
   std::array<PredecodedLine, kPredecodeLines> predecode_;
+  uint64_t quiet_steps_with_waiters_ = 0;
   uint64_t stat_predecode_hits_ = 0;
   uint64_t stat_predecode_misses_ = 0;
   std::array<uint64_t, kNumFusedOps> stat_fused_{};

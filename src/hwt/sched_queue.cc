@@ -38,24 +38,36 @@ void SchedQueue::Remove(Ptid ptid) {
   }
 }
 
-uint32_t SchedQueue::PickAllFor(uint64_t k, HwThread** out) {
+uint32_t SchedQueue::PickAllFor(uint64_t k, Tick at, HwThread** out) {
   assert(k > 0 && !rotation_.empty());
   const size_t n = rotation_.size();
-  // Each round below is one head's turn: it takes max(1, credits) picks (a
-  // pick burns one credit; the last one refills the slot and moves the
-  // cursor on), or the remaining k if fewer.
+  auto ready = [at](const Slot& s) {
+    return s.thread->state() == ThreadState::kRunnable && s.thread->ready_at() <= at;
+  };
+  const size_t nready =
+      static_cast<size_t>(std::count_if(rotation_.begin(), rotation_.end(), ready));
+  assert(nready > 0);
+  // Each round below is one head's turn: the cursor moves to the first ready
+  // slot, which takes max(1, credits) picks (a pick burns one credit; the
+  // last one refills the slot and moves the cursor on), or the remaining k
+  // if fewer.
   size_t head = cursor_;  // cursor of the last pick applied
   size_t handoffs = 0;
   while (k > 0) {
-    if (handoffs == n) {
+    if (handoffs == nready) {
       uint64_t period = 0;
       for (const Slot& s : rotation_) {
-        period += FullCredits(*s.thread);
+        period += ready(s) ? FullCredits(*s.thread) : 0;
       }
       k %= period;  // state after a whole period is the state now
       handoffs++;   // reduce once
       if (k == 0) {
         break;  // `head` already names the last handoff's slot
+      }
+    }
+    while (!ready(rotation_[cursor_])) {
+      if (++cursor_ == n) {
+        cursor_ = 0;
       }
     }
     Slot& s = rotation_[cursor_];
@@ -72,13 +84,16 @@ uint32_t SchedQueue::PickAllFor(uint64_t k, HwThread** out) {
     }
     handoffs++;
   }
+  uint32_t picked = 0;
   for (size_t i = 0, idx = head; i < n; i++) {
-    out[i] = rotation_[idx].thread;
+    if (ready(rotation_[idx])) {
+      out[picked++] = rotation_[idx].thread;
+    }
     if (++idx == n) {
       idx = 0;
     }
   }
-  return static_cast<uint32_t>(n);
+  return picked;
 }
 
 }  // namespace casc

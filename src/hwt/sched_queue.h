@@ -112,17 +112,21 @@ class SchedQueue {
     return picked;
   }
 
-  // Applies `k` >= 1 consecutive picks in which every thread in the
-  // rotation is ready and fits an SMT slot (Core's quiet ticks): the cursor
-  // and credit moves of k PickUpTo calls, in closed form. Writes the last
-  // pick's order (the whole rotation, from that pick's cursor) to `out`,
-  // which must hold Size() slots, and returns Size().
+  // Applies `k` >= 1 consecutive picks from tick `at` on in which the same
+  // threads are ready at every pick (those runnable with ready_at <= `at`;
+  // at least one) and they all fit an SMT slot (Core's quiet ticks): the
+  // cursor and credit moves of k PickUpTo calls, in closed form. Writes the
+  // last pick's order (the ready threads in rotation order from that pick's
+  // cursor) to `out` and returns their count.
   //
-  // Once every slot has handed the cursor on, all credits are full and the
-  // picks repeat with period sum(FullCredits), so k shrinks modulo it. Not
+  // As in PickUpTo, each turn starts at the first ready slot from the
+  // cursor, and a handoff may leave the cursor on a slot that is not ready;
+  // such slots keep their credits. Once every ready slot has handed the
+  // cursor on, all their credits are full and the picks repeat with period
+  // sum(FullCredits) over the ready slots, so k shrinks modulo it. Not
   // before: a slot the cursor once skipped while it was not ready may still
   // hold partial credits.
-  uint32_t PickAllFor(uint64_t k, HwThread** out);
+  uint32_t PickAllFor(uint64_t k, Tick at, HwThread** out);
 
   bool Empty() const { return rotation_.empty(); }
   size_t Size() const { return rotation_.size(); }

@@ -22,16 +22,28 @@ struct CacheConfig {
 
 class Cache {
  public:
-  explicit Cache(const CacheConfig& config);
+  // A group of caches (one core's L1I, L1D and L2) may share a presence
+  // filter: kPresenceSlots counters, slot PresenceSlot(line) * stride of
+  // `presence`, each equal to the number of valid lines of the group that
+  // hash to that slot. A write only probes the caches of a group whose slot
+  // is nonzero (MemorySystem::InvalidateForWrite). Every fill, eviction and
+  // invalidation keeps the counts exact; nullptr (the default) keeps none.
+  static constexpr size_t kPresenceSlots = size_t{1} << 16;
+  static size_t PresenceSlot(Addr addr) {
+    return static_cast<size_t>(((addr / kLineSize) * 0x9E3779B97F4A7C15ull) >> 48);
+  }
 
-  // A memoized hit: a pointer to the line that served a previous read access,
-  // validated against the cache's structural epoch. The epoch advances on any
-  // fill, invalidation, or pin change, so a stale ref can never replay — the
-  // fetch path (Core's predecoded lines) uses this to skip the set walk on
-  // the common all-hits stretch while keeping hit counts and LRU state
-  // exactly as the full walk would leave them.
+  explicit Cache(const CacheConfig& config, uint16_t* presence = nullptr,
+                 size_t presence_stride = 1);
+
+  // A memoized hit: a pointer to the LRU stamp of the line that served a
+  // previous read access, validated against the cache's structural epoch.
+  // The epoch advances on any fill, invalidation, or pin change, so a stale
+  // ref can never replay — the fetch path (Core's predecoded lines) uses
+  // this to skip the set walk on the common all-hits stretch while keeping
+  // hit counts and LRU state exactly as the full walk would leave them.
   struct LineRef {
-    void* line = nullptr;
+    uint64_t* lru = nullptr;
     uint64_t epoch = 0;
   };
 
@@ -46,21 +58,18 @@ class Cache {
     if (evicted_dirty != nullptr) {
       *evicted_dirty = false;
     }
-    const uint32_t set = SetIndex(addr);
+    const size_t base = SetBase(addr);
     const Addr tag = TagOf(addr);
     const bool fill_pinned = !pinned_ranges_.empty() && IsPinnedAddr(addr);
-    Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
-    for (uint32_t w = 0; w < config_.ways; w++) {
-      Line& line = base[w];
-      if (line.valid && line.tag == tag) {
-        line.lru = ++lru_clock_;
-        line.dirty = line.dirty || is_write;
-        line.pinned = line.pinned || fill_pinned;
+    for (size_t i = base; i < base + config_.ways; i++) {
+      if (tags_[i] == tag) {
+        lru_[i] = ++lru_clock_;
+        flags_[i] |= (is_write ? kDirty : 0) | (fill_pinned ? kPinned : 0);
         hits_++;
         return true;
       }
     }
-    return Fill(base, tag, is_write, fill_pinned, evicted_dirty);
+    return Fill(base, addr, is_write, fill_pinned, evicted_dirty);
   }
 
   // Replays a memoized read hit: true iff `ref` still points at a line the
@@ -72,8 +81,7 @@ class Cache {
     if (ref.epoch != epoch_ || !pinned_ranges_.empty()) {
       return false;
     }
-    Line* line = static_cast<Line*>(ref.line);
-    line->lru = ++lru_clock_;
+    *ref.lru = ++lru_clock_;
     hits_++;
     return true;
   }
@@ -81,26 +89,33 @@ class Cache {
   // Captures a ref for `addr` after a hit so the next access can FastHit.
   // No-op (invalid ref) if the line is not actually present.
   void CaptureRef(Addr addr, LineRef* ref) {
-    const uint32_t set = SetIndex(addr);
-    const Addr tag = TagOf(addr);
-    Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
-    for (uint32_t w = 0; w < config_.ways; w++) {
-      if (base[w].valid && base[w].tag == tag) {
-        ref->line = &base[w];
-        ref->epoch = epoch_;
-        return;
-      }
+    const size_t way = Find(addr);
+    if (way == kNoWay) {
+      ref->epoch = 0;
+      return;
     }
-    ref->epoch = 0;
+    ref->lru = &lru_[way];
+    ref->epoch = epoch_;
   }
 
   // Lookup without side effects.
-  bool Probe(Addr addr) const;
+  bool Probe(Addr addr) const { return Find(addr) != kNoWay; }
 
   // Drops the line if present; returns true if it was present and dirty.
   bool Invalidate(Addr addr);
 
   void InvalidateAll();
+
+  // Calls fn(line address) for every valid line (tests recount the
+  // presence filter with it).
+  template <typename Fn>
+  void ForEachLine(Fn fn) const {
+    for (size_t i = 0; i < tags_.size(); i++) {
+      if (tags_[i] != kInvalidTag) {
+        fn(LineAddr(tags_[i], i / config_.ways));
+      }
+    }
+  }
 
   // §4: "pin the most critical instructions/data/translations ... in caches,
   // using fine-grain cache partitioning". Lines within a pinned range are
@@ -120,34 +135,53 @@ class Cache {
   uint64_t num_lines() const { return static_cast<uint64_t>(num_sets_) * config_.ways; }
 
  private:
-  struct Line {
-    Addr tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    bool pinned = false;
-    uint64_t lru = 0;  // higher = more recently used
-  };
+  // An invalid way holds a tag no address maps to: tags are line numbers
+  // shifted or divided by the set count, so they never reach 2^58.
+  static constexpr Addr kInvalidTag = ~Addr{0};
+  static constexpr size_t kNoWay = ~size_t{0};
+  static constexpr uint8_t kDirty = 1;
+  static constexpr uint8_t kPinned = 2;
 
   // Set count is a power of two for every stock config; the masked path keeps
   // two 64-bit divisions off the per-access critical path. Results are
   // identical to the div/mod form either way.
-  uint32_t SetIndex(Addr addr) const {
+  Addr SetOf(Addr addr) const {
     const Addr line = addr / kLineSize;
-    return static_cast<uint32_t>(set_shift_ >= 0 ? (line & (num_sets_ - 1))
-                                                 : (line % num_sets_));
+    return set_shift_ >= 0 ? (line & (num_sets_ - 1)) : (line % num_sets_);
   }
+  size_t SetBase(Addr addr) const { return static_cast<size_t>(SetOf(addr)) * config_.ways; }
   Addr TagOf(Addr addr) const {
     const Addr line = addr / kLineSize;
     return set_shift_ >= 0 ? (line >> set_shift_) : (line / num_sets_);
   }
+  // Address of the line with `tag` in `set`.
+  Addr LineAddr(Addr tag, Addr set) const {
+    return (set_shift_ >= 0 ? (tag << set_shift_ | set) : tag * num_sets_ + set) * kLineSize;
+  }
+  size_t Find(Addr addr) const {
+    const size_t base = SetBase(addr);
+    const Addr tag = TagOf(addr);
+    for (size_t i = base; i < base + config_.ways; i++) {
+      if (tags_[i] == tag) {
+        return i;
+      }
+    }
+    return kNoWay;
+  }
+  uint16_t& PresenceOf(Addr line) { return presence_[PresenceSlot(line) * presence_stride_]; }
 
   // Miss path: victim selection + install. Returns false (miss).
-  bool Fill(Line* base, Addr tag, bool is_write, bool fill_pinned, bool* evicted_dirty);
+  bool Fill(size_t base, Addr addr, bool is_write, bool fill_pinned, bool* evicted_dirty);
 
   CacheConfig config_;
   uint32_t num_sets_;
   int set_shift_ = -1;  // log2(num_sets_) when a power of two, else -1
-  std::vector<Line> lines_;  // num_sets_ * ways, set-major
+  // Per way, num_sets_ * ways, set-major.
+  std::vector<Addr> tags_;       // kInvalidTag: invalid way
+  std::vector<uint64_t> lru_;    // higher = more recently used
+  std::vector<uint8_t> flags_;   // kDirty | kPinned
+  uint16_t* presence_;
+  size_t presence_stride_;
   std::vector<std::pair<Addr, Addr>> pinned_ranges_;  // [base, end)
   // Structural epoch for LineRef validation; starts at 1 so a default
   // (zeroed) ref never replays.

@@ -1,6 +1,8 @@
 #include "src/mem/memory_system.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace casc {
@@ -27,12 +29,22 @@ MemorySystem::MemorySystem(Simulation& sim, const MemConfig& config, uint32_t nu
       stat_fetches_(sim.stats().Intern("mem.fetches")),
       stat_dma_writes_(sim.stats().Intern("mem.dma_writes")),
       stat_dma_blocked_(sim.stats().Intern("mem.dma_blocked")) {
+  // A presence slot counts at most every private line of one core.
+  const uint64_t private_lines =
+      (config_.l1i.size_bytes + config_.l1d.size_bytes + config_.l2.size_bytes) / kLineSize;
+  if (private_lines > std::numeric_limits<uint16_t>::max()) {
+    std::fprintf(stderr, "private caches of %llu lines overflow the presence filter\n",
+                 static_cast<unsigned long long>(private_lines));
+    std::abort();
+  }
+  presence_.assign(Cache::kPresenceSlots * num_cores, 0);
   core_caches_.reserve(num_cores);
   for (uint32_t i = 0; i < num_cores; i++) {
     CoreCaches cc;
-    cc.l1i = std::make_unique<Cache>(config_.l1i);
-    cc.l1d = std::make_unique<Cache>(config_.l1d);
-    cc.l2 = std::make_unique<Cache>(config_.l2);
+    uint16_t* presence = presence_.data() + i;
+    cc.l1i = std::make_unique<Cache>(config_.l1i, presence, num_cores);
+    cc.l1d = std::make_unique<Cache>(config_.l1d, presence, num_cores);
+    cc.l2 = std::make_unique<Cache>(config_.l2, presence, num_cores);
     core_caches_.push_back(std::move(cc));
   }
   l3_ = std::make_unique<Cache>(config_.l3);
@@ -55,9 +67,13 @@ void MemorySystem::RegisterMmio(Addr base, uint64_t size, MmioDevice* device) {
 
 void MemorySystem::InvalidateForWrite(Addr addr, size_t len, CoreId writer) {
   const Addr last = LastLineClamped(addr, len);
+  const uint32_t cores = num_cores();
   for (Addr line = LineBase(addr);; line += kLineSize) {
-    for (uint32_t c = 0; c < core_caches_.size(); c++) {
-      if (c == writer) {
+    // A zero presence count means none of the core's caches holds the line,
+    // so its three probes would all miss.
+    const uint16_t* presence = &presence_[Cache::PresenceSlot(line) * cores];
+    for (uint32_t c = 0; c < cores; c++) {
+      if (c == writer || presence[c] == 0) {
         continue;
       }
       core_caches_[c].l1i->Invalidate(line);

@@ -187,17 +187,22 @@ class MemorySystem {
 
   // --- Code-write notification --------------------------------------------
   // Called once per written line for every memory-backed write (CPU store,
-  // atomic, or DMA — not MMIO, which is never fetched). Each core registers
-  // here to invalidate predecoded instructions; every listener hears every
-  // written line, the writer's own core included. Writes that bypass the
-  // memory system (PhysicalMemory loads at program-load time) must
-  // invalidate explicitly.
+  // atomic, or DMA — not MMIO, which is never fetched). A core registers
+  // here when it predecodes its first code line, to invalidate predecoded
+  // instructions; every registered listener hears every written line, the
+  // writer's own core included, and a core that never interprets code
+  // registers none. Writes that bypass the memory system (PhysicalMemory
+  // loads at program-load time) must invalidate explicitly.
   using CodeWriteListener = std::function<void(Addr line)>;
   void AddCodeWriteListener(CodeWriteListener fn) {
     code_write_listeners_.push_back(std::move(fn));
   }
 
-  // Per-core cache access (tests, warmup helpers).
+  // Per-core cache access (tests, warmup helpers), and the count of
+  // `core`'s presence filter at a Cache::PresenceSlot.
+  uint16_t presence(CoreId core, size_t slot) const {
+    return presence_[slot * core_caches_.size() + core];
+  }
   Cache& l1d(CoreId core) { return *core_caches_[core].l1d; }
   Cache& l1i(CoreId core) { return *core_caches_[core].l1i; }
   Cache& l2(CoreId core) { return *core_caches_[core].l2; }
@@ -220,7 +225,8 @@ class MemorySystem {
   const MmioRegion* FindMmio(Addr addr) const;
   // Drops the written lines from every core's private caches except the
   // writer's, and tells the code-write listeners. DMA passes kNoWriter: no
-  // core's copy survives.
+  // core's copy survives. Only cores whose presence count for the line is
+  // nonzero are probed.
   static constexpr CoreId kNoWriter = ~CoreId{0};
   void InvalidateForWrite(Addr addr, size_t len, CoreId writer);
 
@@ -228,6 +234,9 @@ class MemorySystem {
   PhysicalMemory phys_;
   MonitorFilter monitors_;
   std::vector<CoreCaches> core_caches_;
+  // Each core's presence filter over its L1I, L1D and L2 (Cache::PresenceSlot),
+  // slot-major: the counts of every core for one slot are adjacent.
+  std::vector<uint16_t> presence_;
   std::unique_ptr<Cache> l3_;
   std::vector<MmioRegion> mmio_;
   std::vector<CodeWriteListener> code_write_listeners_;

@@ -51,7 +51,9 @@ class PhysicalMemory {
     assert(len <= 8);
     const Addr off = addr & (kPageSize - 1);
     if (off + len <= kPageSize) {
-      std::memcpy(EnsurePage(addr).bytes + off, &value, len);
+      Page* page = (addr >> kPageBits) == memo_idx_ && memo_page_ != nullptr ? memo_page_
+                                                                              : &EnsurePage(addr);
+      std::memcpy(page->bytes + off, &value, len);
       return;
     }
     Write(addr, &value, len);
@@ -98,7 +100,8 @@ class PhysicalMemory {
   Page& EnsurePage(Addr addr);
 
   // Positive entries can never go stale (pages are never moved or removed).
-  // Misses are not memoized (a later write may materialize the page).
+  // Misses are not memoized (a later write may materialize the page). The
+  // memo serves WriteUint too, which materializes missing pages itself.
   const Page* FindPageFast(Addr addr) const {
     const Addr idx = addr >> kPageBits;
     if (memo_page_ != nullptr && idx == memo_idx_) {
@@ -107,7 +110,7 @@ class PhysicalMemory {
     const Page* page = FindPage(addr);
     if (page != nullptr) {
       memo_idx_ = idx;
-      memo_page_ = page;
+      memo_page_ = const_cast<Page*>(page);  // every page is owned mutable
     }
     return page;
   }
@@ -115,7 +118,7 @@ class PhysicalMemory {
   Node* buckets_[kBuckets] = {};
   size_t page_count_ = 0;
   mutable Addr memo_idx_ = 0;
-  mutable const Page* memo_page_ = nullptr;
+  mutable Page* memo_page_ = nullptr;
 };
 
 }  // namespace casc

@@ -708,9 +708,10 @@ TEST(CpuTest, RunForStopsAtExactlyItsLimit) {
   }
 }
 
-// Quiet ticks (DESIGN.md §4e): when a core whose every thread is
+// Quiet ticks (DESIGN.md §4e): when a core whose every ready thread is
 // mid-Compute schedules its lane, the event queue steps all such cores up to
-// the next tick anything else can happen in one dispatch. Randomized
+// the next tick anything else can happen in one dispatch; a thread waiting
+// on a latency ends the stretch at its ready tick. Randomized
 // differential against one-tick stepping: the same native workload is run
 // once with RunUntil (bulk steps and in-place ticks allowed) and once as a
 // RunOne loop (one event per dispatch, no bulk step). At every checkpoint
@@ -747,6 +748,7 @@ TEST(CpuTest, QuietAdvanceMatchesOneTickStepping) {
     return picks;
   };
   uint64_t fewer_dispatches = 0;
+  uint64_t waiting_stretches = 0;  // bulk steps with a not-ready thread in the rotation
   for (uint64_t seed = 1; seed <= kSeeds; seed++) {
     Rng rng(seed);
     MachineConfig cfg;
@@ -868,9 +870,14 @@ TEST(CpuTest, QuietAdvanceMatchesOneTickStepping) {
       ASSERT_EQ(snapshot(*bulk.m), snapshot(*ref.m)) << "seed " << seed << " at " << until;
     }
     fewer_dispatches += bulk.m->sim().queue().events_fired() < q.events_fired();
+    for (uint32_t c = 0; c < cfg.num_cores; c++) {
+      waiting_stretches += bulk.m->core(c).quiet_steps_with_waiters();
+    }
   }
-  // The workloads really exercise the fast paths.
+  // The workloads really exercise the fast paths, quiet stretches beside a
+  // thread waiting on a load included.
   EXPECT_GT(fewer_dispatches, kSeeds / 2);
+  EXPECT_GT(waiting_stretches, 100 * kSeeds);
 }
 
 }  // namespace

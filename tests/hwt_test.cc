@@ -601,7 +601,7 @@ TEST(SchedQueueTest, SkipsThreadsStillRestoring) {
   EXPECT_EQ(picked.size(), 2u);
 }
 
-// PickAllFor(k) is k full PickUpTo calls in closed form: same last-pick
+// PickAllFor(k, at) is k full PickUpTo calls in closed form: same last-pick
 // order, and the same cursor and credits afterwards (probed by one-wide
 // picks). Starts are randomized with partial credits, including on slots
 // the cursor skipped while their thread was not ready.
@@ -636,7 +636,7 @@ TEST(SchedQueueTest, PickAllForMatchesRepeatedPicks) {
       stepped.PickUpTo(0, n, &last);
     }
     std::vector<HwThread*> bulk(n);
-    ASSERT_EQ(q.PickAllFor(k, bulk.data()), n);
+    ASSERT_EQ(q.PickAllFor(k, 0, bulk.data()), n);
     ASSERT_EQ(bulk, last) << "iter " << iter;
     std::vector<HwThread*> a;
     std::vector<HwThread*> b;
@@ -678,7 +678,7 @@ TEST(SchedQueueTest, PickAllForAfterSkippedSlot) {
     stepped.PickUpTo(2, 3, &picked);
   }
   HwThread* out[3];
-  ASSERT_EQ(q.PickAllFor(7, out), 3u);
+  ASSERT_EQ(q.PickAllFor(7, 2, out), 3u);
   EXPECT_EQ(std::vector<HwThread*>(out, out + 3), picked);
   EXPECT_EQ(picked, (std::vector<HwThread*>{&b, &c, &a}));  // b's pick handed on to c
   std::vector<HwThread*> x;
@@ -689,6 +689,85 @@ TEST(SchedQueueTest, PickAllForAfterSkippedSlot) {
     EXPECT_EQ(x, y) << "probe " << i;
   }
   EXPECT_EQ(x, (std::vector<HwThread*>{&c}));  // probes c c c a a b c c
+}
+
+// PickAllFor(k, at) with threads in the rotation that are not ready at `at`
+// (waiting on a latency, as in a quiet stretch beside a load) is k
+// PickUpTo(at, width) calls that skip their slots: same last-pick order, and
+// the same cursor and credits afterwards (probed by one-wide picks with
+// every thread ready, which also exposes a skipped slot's partial credits).
+// Warm-ups with random ready sets leave the cursor parked on a waiting slot
+// and partial credits on slots the cursor skipped.
+TEST(SchedQueueTest, PickAllForSkipsSlotsNotReady) {
+  constexpr Tick kAt = 10;
+  constexpr Tick kLater = 1000;  // ready_at of a waiting thread
+  Rng rng(23);
+  uint64_t parked_on_waiting = 0;
+  uint64_t parked_partial = 0;
+  for (int iter = 0; iter < 4000; iter++) {
+    const uint32_t n = static_cast<uint32_t>(rng.NextRange(1, 6));
+    std::vector<std::unique_ptr<HwThread>> threads;
+    SchedQueue q;
+    for (uint32_t i = 0; i < n; i++) {
+      threads.push_back(std::make_unique<HwThread>(i, 0));
+      threads.back()->set_state(ThreadState::kRunnable);
+      threads.back()->arch().prio = rng.NextRange(1, 4);
+      q.Add(threads.back().get());
+    }
+    std::vector<HwThread*> picked;
+    const uint64_t warm = rng.NextBounded(12);
+    for (uint64_t w = 0; w < warm; w++) {
+      for (auto& t : threads) {
+        t->set_ready_at(rng.NextBounded(2) == 0 ? kLater : 0);
+      }
+      q.PickUpTo(kAt, static_cast<uint32_t>(rng.NextRange(1, n)), &picked);
+    }
+    // The stretch's ready set: at least one thread, the rest waiting.
+    uint32_t nready = 0;
+    for (auto& t : threads) {
+      const bool ready = rng.NextBounded(3) != 0;
+      t->set_ready_at(ready ? rng.NextBounded(kAt + 1) : kLater);
+      nready += ready;
+    }
+    if (nready == 0) {
+      threads[rng.NextBounded(n)]->set_ready_at(kAt);
+      nready = 1;
+    }
+    {
+      SchedQueue probe = q;
+      probe.PickUpTo(kLater, 1, &picked);
+      if (picked[0]->ready_at() > kAt) {
+        parked_on_waiting++;
+        uint64_t run = 1;
+        std::vector<HwThread*> next;
+        while (probe.PickUpTo(kLater, 1, &next), next == picked) {
+          run++;
+        }
+        parked_partial += run < picked[0]->arch().prio;
+      }
+    }
+    const uint32_t width = static_cast<uint32_t>(rng.NextRange(nready, n));
+    const uint64_t k = rng.NextRange(1, 60);
+    SchedQueue stepped = q;
+    std::vector<HwThread*> last;
+    for (uint64_t i = 0; i < k; i++) {
+      stepped.PickUpTo(kAt, width, &last);
+    }
+    std::vector<HwThread*> bulk(n);
+    bulk.resize(q.PickAllFor(k, kAt, bulk.data()));
+    ASSERT_EQ(bulk, last) << "iter " << iter;
+    std::vector<HwThread*> a;
+    std::vector<HwThread*> b;
+    for (int i = 0; i < 32; i++) {
+      q.PickUpTo(kLater, 1, &a);
+      stepped.PickUpTo(kLater, 1, &b);
+      ASSERT_EQ(a, b) << "iter " << iter << " probe " << i;
+    }
+  }
+  // The sweep really starts stretches with the cursor on a waiting slot,
+  // some of them holding partial credits.
+  EXPECT_GT(parked_on_waiting, 500u);
+  EXPECT_GT(parked_partial, 200u);
 }
 
 TEST(SchedQueueTest, FrontInsertPreempts) {

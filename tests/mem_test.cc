@@ -2,12 +2,16 @@
 // MMIO dispatch, DMA, and the generalized monitor filter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "src/mem/cache.h"
 #include "src/mem/memory_system.h"
 #include "src/mem/monitor_filter.h"
 #include "src/mem/phys_mem.h"
+#include "src/sim/rng.h"
 #include "src/sim/simulation.h"
 
 namespace casc {
@@ -180,6 +184,85 @@ TEST_F(MemorySystemTest, DmaAllocatesIntoL3) {
   const MemConfig& cfg = mem_.config();
   EXPECT_EQ(mem_.AccessLatency(0, 0x9000, false, false),
             cfg.l1d.hit_latency + cfg.l2.hit_latency + cfg.l3.hit_latency);
+}
+
+// Each core's presence filter counts, per slot, the valid lines of its L1I,
+// L1D and L2 that hash there; a store or DMA probes only the cores whose
+// slot is nonzero, so a count that ran low would skip a real invalidation.
+// Tiny caches over a 48-line footprint evict on most fills; after every
+// random read, write, fetch, atomic, DMA, pin or InvalidateAll, every slot of
+// every core must equal a recount of the lines the caches hold.
+TEST(MemTest, PresenceFilterCountsEveryPrivateLine) {
+  constexpr Addr kBase = 0x10000;
+  constexpr uint64_t kLines = 48;
+  for (uint32_t cores = 1; cores <= 4; cores++) {
+    SCOPED_TRACE(std::to_string(cores) + " cores");
+    MemConfig cfg;
+    cfg.l1i = CacheConfig{"l1i", 4 * kLineSize, 2, 4};
+    cfg.l1d = CacheConfig{"l1d", 4 * kLineSize, 2, 4};
+    cfg.l2 = CacheConfig{"l2", 12 * kLineSize, 4, 14};
+    cfg.l3 = CacheConfig{"l3", 32 * kLineSize, 4, 42};
+    Simulation sim(3.0);
+    MemorySystem mem(sim, cfg, cores);
+    Rng rng(cores);
+    std::vector<uint16_t> recount(Cache::kPresenceSlots);
+    for (int op = 0; op < 400; op++) {
+      const CoreId core = static_cast<CoreId>(rng.NextBounded(cores));
+      const Addr addr = kBase + rng.NextBounded(kLines) * kLineSize + rng.NextBounded(8) * 8;
+      uint64_t v = 0;
+      switch (rng.NextBounded(10)) {
+        case 0:
+        case 1:
+          mem.Read(core, addr, 8, &v);
+          break;
+        case 2:
+        case 3:
+          mem.Write(core, addr, 8, op);
+          break;
+        case 4: {
+          uint32_t inst = 0;
+          mem.Fetch(core, addr, &inst);
+          break;
+        }
+        case 5:
+          mem.AtomicAdd(core, addr, 1, &v);
+          break;
+        case 6:
+          mem.AtomicCas(core, addr, rng.NextBounded(2), op, &v);
+          break;
+        case 7: {
+          const uint8_t bytes[3 * kLineSize] = {};
+          mem.DmaWrite(addr, bytes, rng.NextRange(1, sizeof(bytes)));
+          break;
+        }
+        case 8:
+          if (rng.NextBounded(2) == 0) {
+            mem.PinRange(core, addr & ~Addr{kLineSize - 1}, rng.NextRange(1, 3) * kLineSize);
+          } else {
+            mem.l1d(core).ClearPins();
+            mem.l2(core).ClearPins();
+          }
+          break;
+        default: {
+          Cache* caches[] = {&mem.l1i(core), &mem.l1d(core), &mem.l2(core)};
+          caches[rng.NextBounded(3)]->InvalidateAll();
+          break;
+        }
+      }
+      for (CoreId c = 0; c < cores; c++) {
+        std::fill(recount.begin(), recount.end(), 0);
+        for (Cache* cache : {&mem.l1i(c), &mem.l1d(c), &mem.l2(c)}) {
+          cache->ForEachLine([&](Addr line) { recount[Cache::PresenceSlot(line)]++; });
+        }
+        for (size_t slot = 0; slot < Cache::kPresenceSlots; slot++) {
+          ASSERT_EQ(mem.presence(c, slot), recount[slot])
+              << "op " << op << " core " << c << " slot " << slot;
+        }
+      }
+    }
+    // The footprint really churns the private caches.
+    EXPECT_GT(mem.l2(0).misses(), 50u);
+  }
 }
 
 class TestMmioDevice : public MmioDevice {

@@ -123,12 +123,12 @@ int main(int argc, char** argv) {
   }
   opts.num_cores = static_cast<uint32_t>(cores);
   if (cfg.GetBool("chaos", false)) {
-    const uint32_t mask = static_cast<uint32_t>(cfg.GetUint("fault-mask", kChaosMaskAll));
+    const uint64_t mask = cfg.GetUint("fault-mask", kChaosMaskAll);  // checked before narrowing
     if (mask == 0 || mask > kChaosMaskAll) {
       std::fprintf(stderr, "--fault-mask must be 1..%u\n", kChaosMaskAll);
       return 2;
     }
-    opts.chaos = MakeChaosPlan(cfg.GetUint("chaos-seed", 1), mask,
+    opts.chaos = MakeChaosPlan(cfg.GetUint("chaos-seed", 1), static_cast<uint32_t>(mask),
                                cfg.GetUint("watchdog-ticks", 2'000'000));
     if (opts.race_check) {
       std::fprintf(stderr,
