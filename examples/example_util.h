@@ -4,6 +4,7 @@
 //   --trace-json=<path>     write a Chrome trace_event JSON file
 //   --stats-json=<path>     write the final stats registry as JSON
 // All observe existing machine state; none costs anything when absent.
+// ExampleTrace::Finish emits every export that was requested.
 // Each example reads every typed flag (ExampleTrace reads --trace) before
 // it calls Config::ReportParseErrors and exits 2 on a malformed value.
 #ifndef EXAMPLES_EXAMPLE_UTIL_H_
@@ -26,7 +27,8 @@ class ExampleTrace {
   ExampleTrace(Machine& m, const Config& cfg)
       : machine_(m),
         text_(cfg.GetBool("trace", false)),
-        json_path_(cfg.GetString("trace-json")) {
+        json_path_(cfg.GetString("trace-json")),
+        stats_path_(cfg.GetString("stats-json")) {
     if (enabled()) {
       m.threads().SetTracer(&tracer_);
     }
@@ -34,8 +36,9 @@ class ExampleTrace {
 
   bool enabled() const { return text_ || !json_path_.empty(); }
 
-  // Emits whatever was requested over [from, to). Call once at the end of
-  // main; returns false if the JSON file could not be written.
+  // Emits whatever was requested, the timeline and trace over [from, to).
+  // Call once at the end of main; returns false if a file could not be
+  // written.
   bool Finish(Tick from, Tick to) {
     if (text_) {
       std::printf("\nthread timeline (%llu..%llu):\n", (unsigned long long)from,
@@ -52,6 +55,17 @@ class ExampleTrace {
       std::printf("trace written to %s (%zu events%s)\n", json_path_.c_str(),
                   tracer_.events().size(), tracer_.dropped() > 0 ? ", TRUNCATED" : "");
     }
+    // The stats dump is a pure function of simulated state; the golden
+    // digest (tests/golden/sim_digest.txt) covers every example's dump.
+    if (!stats_path_.empty()) {
+      std::ofstream out(stats_path_);
+      if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", stats_path_.c_str());
+        return false;
+      }
+      machine_.sim().stats().DumpJson(out);
+      return static_cast<bool>(out);
+    }
     return true;
   }
 
@@ -60,25 +74,8 @@ class ExampleTrace {
   ThreadTracer tracer_;
   bool text_;
   std::string json_path_;
+  std::string stats_path_;
 };
-
-// Writes the machine's stats registry to the --stats-json path, if given.
-// The dump is a pure function of simulated state, so two runs of the same
-// binary with the same flags must produce byte-identical files (the
-// determinism_examples test relies on this). Returns false only on I/O error.
-inline bool MaybeWriteStatsJson(Machine& m, const Config& cfg) {
-  const std::string path = cfg.GetString("stats-json");
-  if (path.empty()) {
-    return true;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  m.sim().stats().DumpJson(out);
-  return static_cast<bool>(out);
-}
 
 }  // namespace casc
 

@@ -174,6 +174,7 @@ Tick BaselineCpu::RunStep() {
     current_ = next;
     current_->state_ = SoftThread::State::kRunning;
     dispatched_at_ = sim_.now();
+    stepped_since_dispatch_ = false;
     stat_switches_++;
     const Tick cost = kSchedPickCycles + kSwitchSwCycles +
                       StateTraffic(current_->tcb(), /*is_write=*/false);
@@ -181,9 +182,10 @@ Tick BaselineCpu::RunStep() {
     return cost;
   }
 
-  // 3. Quantum preemption at op boundaries.
-  if (config_.quantum != 0 && sim_.now() - dispatched_at_ >= config_.quantum &&
-      !runqueue_.empty()) {
+  // 3. Quantum preemption at op boundaries, once the dispatch has taken a
+  // step.
+  if (config_.quantum != 0 && stepped_since_dispatch_ &&
+      sim_.now() - dispatched_at_ >= config_.quantum && !runqueue_.empty()) {
     SoftThread* t = current_;
     current_ = nullptr;
     t->state_ = SoftThread::State::kRunnable;
@@ -194,6 +196,7 @@ Tick BaselineCpu::RunStep() {
   }
 
   // 4. Advance the current thread by one op (or one compute chunk).
+  stepped_since_dispatch_ = true;
   SoftContext& ctx = current_->ctx();
   if (!ctx.has_pending()) {
     if (!current_->task_.valid() || current_->task_.done()) {

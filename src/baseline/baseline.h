@@ -210,9 +210,6 @@ class BaselineCpu : public IrqSink {
   // The cycles a compute op with `left` cycles still to go takes this step.
   Tick ComputeCycles(Tick left);
   void ScheduleStep(Tick delay);
-  // Charges the full software context-switch path (save + pick + restore)
-  // with real TCB memory traffic; returns its latency.
-  Tick SwitchCost(SoftThread* from, SoftThread* to);
   Tick StateTraffic(Addr tcb, bool is_write);
   uint32_t StateBytes() const {
     return config_.kernel_uses_fp ? kStateBytesFp : kStateBytes;
@@ -228,7 +225,10 @@ class BaselineCpu : public IrqSink {
   std::deque<SoftThread*> runqueue_;
   SoftThread* current_ = nullptr;
   Tick dispatched_at_ = 0;
-  bool was_idle_ = true;
+  // Whether current_ has taken a step of an op since its dispatch; quantum
+  // preemption waits for one, so a quantum at or below the switch-in cost
+  // still makes progress.
+  bool stepped_since_dispatch_ = false;
   std::deque<uint32_t> pending_irqs_;
   std::vector<std::pair<uint32_t, IrqHandler>> irq_handlers_;
   LambdaEvent<std::function<void()>> step_event_;

@@ -135,6 +135,27 @@ TEST(BaselineTest, QuantumRoundRobinInterleaves) {
   EXPECT_GE(m.cpu(0).context_switches(), 5u);
 }
 
+// A quantum at or below the switch-in cost still makes progress: each
+// dispatch takes a step before quantum preemption can take the thread off
+// the core. Without that step both threads are preempted at every dispatch
+// and neither finishes, so the run is bounded by ticks, not by quiescence.
+TEST(BaselineTest, QuantumBelowSwitchCostStillFinishes) {
+  BaselineMachineConfig cfg;
+  cfg.cpu.quantum = 100;
+  BaselineMachine m(cfg);
+  int finished = 0;
+  for (int i = 0; i < 2; i++) {
+    m.cpu(0).Spawn(
+        "t" + std::to_string(i),
+        [](SoftContext& ctx) -> GuestTask { co_await ctx.Compute(500); },
+        [&finished] { finished++; });
+  }
+  m.RunFor(1'000'000);
+  EXPECT_EQ(finished, 2);
+  // Every step of 10 compute cycles ends its dispatch.
+  EXPECT_GE(m.cpu(0).context_switches(), 50u);
+}
+
 TEST(BaselineTest, FcfsRunsToCompletion) {
   BaselineMachineConfig cfg;
   cfg.cpu.quantum = 0;  // run to completion
@@ -363,9 +384,9 @@ StepTrace RunSteppingScenario(uint64_t seed, bool one_dispatch) {
   BaselineMachineConfig cfg;
   cfg.num_cpus = static_cast<uint32_t>(rng.NextRange(1, 2));
   const uint64_t quantum_kind = rng.NextBounded(3);
-  // A small quantum still exceeds the switch-in cost: one below it would
-  // preempt every dispatch at its first step and never finish.
-  cfg.cpu.quantum = quantum_kind == 0 ? 0 : quantum_kind == 1 ? rng.NextRange(1000, 2500) : 30000;
+  // A small quantum may fall below the switch-in cost, where each dispatch
+  // takes one step before it is preempted.
+  cfg.cpu.quantum = quantum_kind == 0 ? 0 : quantum_kind == 1 ? rng.NextRange(100, 2500) : 30000;
   BaselineMachine m(cfg);
   StepTrace tr;
   auto log = [&tr, &m](uint32_t who, uint32_t what) {

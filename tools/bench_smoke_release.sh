@@ -5,7 +5,9 @@
 # t2_simhost) and the perf-sensitive hot paths are only meaningful at full
 # optimization, so CI also runs the bench-smoke ctest tier from a Release
 # tree: every bench with reduced iterations, then casc_bench_check over each
-# BENCH_*.json artifact.
+# BENCH_*.json artifact. The Release tree must also reproduce the golden
+# simulation digest (DESIGN.md §4f): optimization level changes no
+# simulated byte.
 #
 #   tools/bench_smoke_release.sh            # uses ./build-rel
 #   BUILD=/tmp/rel tools/bench_smoke_release.sh
@@ -16,6 +18,7 @@ BUILD=${BUILD:-build-rel}
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD" -j"$(nproc)"
 ctest --test-dir "$BUILD" -L bench-smoke -j"$(nproc)" --output-on-failure
+ctest --test-dir "$BUILD" -R '^sim_golden_digest$' --output-on-failure
 
 # Interpreter throughput gate (DESIGN.md §4j): a full (non-smoke) t2_simhost
 # run's "interp" row must clear an absolute Minsts/s floor, so a regression in

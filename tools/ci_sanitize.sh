@@ -3,10 +3,12 @@
 # ctest suite — which includes the differential-fuzz smoke batch (fuzz_smoke:
 # a fixed-seed generator run across the whole config lattice with determinism
 # and race checking), the saved regression corpus (fuzz_corpus), the
-# chaos_smoke tier (every fault-injection scenario plus the seed-determinism
-# check), and the fuzz_chaos tier (chaos-differential batches with every
-# fault class and per-fault-class masks, campaign-replay determinism, and
-# the wedged-fixture watchdog negative; DESIGN.md §4k).
+# chaos_smoke tier (every fault-injection scenario), the fuzz_chaos tier
+# (chaos-differential batches with every fault class and per-fault-class
+# masks, campaign-replay determinism, and the wedged-fixture watchdog
+# negative; DESIGN.md §4k), and the golden simulation digest
+# (sim_golden_digest; DESIGN.md §4f): sanitizer instrumentation must change
+# no simulated byte.
 # Memory errors in the simulator, the reference model, or the
 # fault-recovery paths surface here rather than as silent state divergence.
 # The interpreter has one run-time engine (DESIGN.md §4j), so every tier

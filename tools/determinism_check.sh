@@ -1,60 +1,56 @@
-#!/bin/sh
-# Determinism check: run each example twice with --stats-json and require
-# byte-identical stats dumps. The simulator is a single-threaded discrete-event
-# machine with a seeded RNG, so any divergence between identical runs is a
-# nondeterminism bug (unseeded randomness, iteration over pointer-keyed maps,
-# uninitialized reads) — the kind that silently breaks differential fuzzing.
+#!/usr/bin/env bash
+# Same-binary determinism: runs one group of cases twice from the repo root
+# and `diff -r`s exit codes, stdout, stderr and stats dumps. The golden
+# digest (sim_golden_digest.sh, DESIGN.md §4f) says whether a result moved;
+# this says, without the golden, whether it is stable at all.
+#   examples: every example, and racy_store on two cores of one thread;
+#   chaos:    casc_chaos single-core and cross-core groups, seeds 1 and 7.
+# Outputs stay under <build-dir>/determinism/<group>/{1,2}.
 #
-# With a casc_run binary and a program as extra arguments, the check also
-# runs that program twice on two cores of one thread each, so its harness
-# thread t1 runs on core 1, and both the stats dumps and stdout must be
-# byte-identical (cross-core traffic goes through the same check).
-#
-# Usage: determinism_check.sh <examples-dir> <scratch-dir> [<casc_run> <prog.casm>]
-set -eu
+# Usage: tools/determinism_check.sh <build-dir> examples|chaos
+# Exit 0 when both runs match, 1 on any difference, 2 on usage errors.
+set -u
 
-bindir=${1:?usage: determinism_check.sh <examples-dir> <scratch-dir>}
-scratch=${2:?usage: determinism_check.sh <examples-dir> <scratch-dir>}
-casc_run=${3:-}
-prog=${4:-}
-mkdir -p "$scratch"
+if [ $# -ne 2 ] || { [ "$2" != examples ] && [ "$2" != chaos ]; }; then
+  echo "usage: determinism_check.sh <build-dir> examples|chaos" >&2
+  exit 2
+fi
+build=$(cd "$1" 2>/dev/null && pwd) || {
+  echo "determinism_check: no build directory $1" >&2
+  exit 2
+}
+cd "$(dirname "$0")/.." || exit 2
+out=$build/determinism/$2
+rm -rf "$out"
 
-fail=0
-for name in quickstart echo_server; do
-  bin="$bindir/$name"
-  if [ ! -x "$bin" ]; then
-    echo "determinism_check: missing binary $bin" >&2
-    exit 2
-  fi
-  a="$scratch/$name.run1.json"
-  b="$scratch/$name.run2.json"
-  "$bin" --stats-json="$a" > /dev/null
-  "$bin" --stats-json="$b" > /dev/null
-  if ! cmp -s "$a" "$b"; then
-    echo "determinism_check: $name stats dumps differ:" >&2
-    diff "$a" "$b" >&2 || true
-    fail=1
+# run <name> <binary> [args...]: one run into $dir, keeping every output.
+run() {
+  local name=$1 bin=$build/$2 rc=0
+  shift 2
+  [ -x "$bin" ] || { echo "determinism_check: missing $bin" >&2; exit 2; }
+  "$bin" "$@" --stats-json="$dir/$name.json" >"$dir/$name.stdout" \
+    2>"$dir/$name.stderr" || rc=$?
+  echo "$rc" >"$dir/$name.rc"
+}
+
+for dir in "$out/1" "$out/2"; do
+  mkdir -p "$dir"
+  if [ "$2" = examples ]; then
+    for src in examples/*.cpp; do
+      run "$(basename "$src" .cpp)" "examples/$(basename "$src" .cpp)"
+    done
+    run racy_store_c2x1 tools/casc_run tests/corpus/racy_store.casm \
+      --cores=2 --threads-per-core=1
   else
-    echo "determinism_check: $name ok ($(wc -c < "$a") bytes, byte-identical)"
+    for seed in 1 7; do
+      run "single_s$seed" tools/casc_chaos --scenario=single-core --seed="$seed"
+      run "cross_s$seed" tools/casc_chaos --scenario=cross-core --seed="$seed"
+    done
   fi
 done
 
-if [ -n "$casc_run" ]; then
-  if [ ! -x "$casc_run" ] || [ ! -f "$prog" ]; then
-    echo "determinism_check: missing casc_run ($casc_run) or program ($prog)" >&2
-    exit 2
-  fi
-  a="$scratch/cores2.run1.json"
-  b="$scratch/cores2.run2.json"
-  "$casc_run" "$prog" --cores=2 --threads-per-core=1 --stats-json="$a" > "$a.out"
-  "$casc_run" "$prog" --cores=2 --threads-per-core=1 --stats-json="$b" > "$b.out"
-  if ! cmp -s "$a" "$b" || ! cmp -s "$a.out" "$b.out"; then
-    echo "determinism_check: $(basename "$prog") --cores=2 runs differ:" >&2
-    diff "$a" "$b" >&2 || true
-    diff "$a.out" "$b.out" >&2 || true
-    fail=1
-  else
-    echo "determinism_check: $(basename "$prog") --cores=2 ok (stats + stdout byte-identical)"
-  fi
-fi
-exit "$fail"
+diff -r "$out/1" "$out/2" >&2 || {
+  echo "determinism_check: $2: two runs of one binary differ (above)" >&2
+  exit 1
+}
+echo "determinism_check: $2 ok ($(ls "$out/1" | wc -l) files identical in two runs)"
