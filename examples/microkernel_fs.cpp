@@ -12,6 +12,7 @@
 // Build & run:  ./examples/microkernel_fs [--trace] [--trace-json=out.json]
 //                                         [--ring] [--workers=N] [--batch=N]
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include "examples/example_util.h"
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
                          "hardware threads wait on I/O queues directly",
                          "microkernel services stop paying for IPC"};
   for (uint64_t i = 0; i < 3; i++) {
-    disk.storage().Write(100 + i * 512 * 0 + i * 512, files[i], std::strlen(files[i]) + 1);
+    disk.storage().Write(100 + i * 512, files[i], std::strlen(files[i]) + 1);
   }
 
   // Driver state + device ring setup (host-side firmware duties).
@@ -80,7 +81,6 @@ int main(int argc, char** argv) {
 
   // The application: reads the three "files" by sector, in user mode. On the
   // ring path the reads go out as one batch and complete concurrently.
-  std::vector<std::string> contents;
   std::vector<Tick> per_read_cycles;
   const uint32_t app_local = use_ring ? workers : 1;
   const Ptid app = m.BindNative(
@@ -121,17 +121,25 @@ int main(int argc, char** argv) {
   }
   m.Start(app);
   m.RunToQuiescence();
+  if (per_read_cycles.size() < 3) {
+    std::fprintf(stderr, "microkernel_fs: only %zu of 3 reads completed\n",
+                 per_read_cycles.size());
+    return 1;
+  }
 
-  // Host-side: show what the app read.
+  // Host-side: show what the app read, and check it against the disk.
   std::printf("casc microkernel file service demo\n");
   std::printf("----------------------------------\n");
+  std::string mismatch;
   for (uint64_t i = 0; i < 3; i++) {
     char buf[512];
     const Addr src = 0x00700000 + i * 512;
-    // The file payload starts at offset 100 within sector 0 only for i=0;
-    // others were written at i*512+100? We wrote at byte 100 + i*512.
     m.mem().phys().Read(src + 100, buf, sizeof(buf) - 1);
     buf[511] = '\0';
+    if (mismatch.empty() && std::strcmp(buf, files[i]) != 0) {
+      mismatch = "file " + std::to_string(i) + " read back \"" + buf + "\", the disk holds \"" +
+                 files[i] + "\"";
+    }
     std::printf("file %llu -> \"%s\"  (%llu cycles = %.1f us end to end)\n",
                 (unsigned long long)i, buf, (unsigned long long)per_read_cycles[i],
                 m.sim().CyclesToNs(per_read_cycles[i]) / 1000.0);
@@ -143,5 +151,9 @@ int main(int argc, char** argv) {
   if (!trace.Finish(0, m.sim().now() + 1)) {
     return 1;
   }
-  return contents.size() == 0 ? 0 : 0;
+  if (!mismatch.empty()) {
+    std::fprintf(stderr, "microkernel_fs: %s\n", mismatch.c_str());
+    return 1;
+  }
+  return 0;
 }

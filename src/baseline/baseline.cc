@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <utility>
 
 namespace casc {
 
@@ -28,15 +29,20 @@ BaselineCpu::~BaselineCpu() = default;
 
 SoftThread* BaselineCpu::Spawn(const std::string& name, SoftThread::Body body,
                                std::function<void()> on_finish) {
-  const uint32_t id = static_cast<uint32_t>(threads_.size());
-  const Addr tcb = kTcbBase + (static_cast<Addr>(core_) << 20) + id * 1024;
-  auto thread = std::make_unique<SoftThread>(id, name, std::move(body), tcb);
-  thread->on_finish_ = std::move(on_finish);
-  SoftThread* raw = thread.get();
-  threads_.push_back(std::move(thread));
-  runqueue_.push_back(raw);
+  const uint32_t id = next_id_++;
+  SoftThread& thread =
+      threads_.emplace_back(kTcbBase + (static_cast<Addr>(core_) << 20) + id * 1024);
+  if (free_blocks_.empty()) {
+    free_blocks_.push_back(&blocks_.emplace_back());
+  }
+  thread.block_ = free_blocks_.back();
+  free_blocks_.pop_back();
+  thread.block_->name = name;
+  thread.block_->body = std::move(body);
+  thread.block_->on_finish = std::move(on_finish);
+  runqueue_.push_back(&thread);
   ScheduleStep(1);
-  return raw;
+  return &thread;
 }
 
 void BaselineCpu::Wake(SoftThread* thread) {
@@ -92,13 +98,20 @@ SoftThread* BaselineCpu::PickNext() {
   return nullptr;
 }
 
+// The record stays, marked finished. The block is emptied, which frees the
+// finished coroutine frame and the body's captures, and goes back to the
+// free list only after on_finish has returned: a callback that spawns must
+// not be handed the block whose on_finish it is still running from.
 void BaselineCpu::FinishCurrent() {
   SoftThread* t = current_;
   current_ = nullptr;
   t->state_ = SoftThread::State::kFinished;
-  if (t->on_finish_) {
-    t->on_finish_();
+  SoftThread::Block* block = std::exchange(t->block_, nullptr);
+  if (block->on_finish) {
+    block->on_finish();
   }
+  *block = SoftThread::Block{};
+  free_blocks_.push_back(block);
 }
 
 // Steps in place, the way Core::Cycle chains its ticks: when the next step
@@ -197,14 +210,15 @@ Tick BaselineCpu::RunStep() {
 
   // 4. Advance the current thread by one op (or one compute chunk).
   stepped_since_dispatch_ = true;
-  SoftContext& ctx = current_->ctx();
+  SoftThread::Block& block = *current_->block_;
+  SoftContext& ctx = block.ctx;
   if (!ctx.has_pending()) {
-    if (!current_->task_.valid() || current_->task_.done()) {
+    if (!block.task.valid() || block.task.done()) {
       ctx.ResetLeaf();
-      current_->task_ = current_->body_(ctx);
+      block.task = block.body(ctx);
     }
-    ctx.ResumeLeaf(current_->task_.handle());
-    if (current_->task_.done()) {
+    ctx.ResumeLeaf(block.task.handle());
+    if (block.task.done()) {
       FinishCurrent();
       return kSwitchSwCycles;  // teardown
     }

@@ -19,7 +19,6 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,10 +93,6 @@ class SoftContext {
     uint64_t await_resume() const noexcept { return ctx->result_; }
   };
 
-  explicit SoftContext(SoftThread* thread) : thread_(thread) {}
-
-  SoftThread* thread() const { return thread_; }
-
   Awaiter Compute(Tick cycles) { return Issue({.kind = SoftOp::Kind::kCompute, .cycles = cycles}); }
   Awaiter Load(Addr addr, uint32_t size = 8) {
     return Issue({.kind = SoftOp::Kind::kLoad, .addr = addr, .size = size});
@@ -138,37 +133,43 @@ class SoftContext {
     return Awaiter{this};
   }
 
-  SoftThread* thread_;
   SoftOp pending_;
   uint64_t result_ = 0;
   std::coroutine_handle<> leaf_ = nullptr;
 };
 
+// A software thread as its callers see it: the pointer Spawn returns. The
+// record holds only what may still be read after the thread finishes, its
+// state and its TCB address, and lives as long as its BaselineCpu, so a
+// pointer kept past the thread's end stays valid and Wake on it stays a
+// no-op. Everything that runs the thread lives in a Block, which the CPU
+// empties when the thread finishes and hands to a later Spawn (DESIGN.md §4e
+// "Soft-thread storage").
 class SoftThread {
  public:
   enum class State : uint8_t { kRunnable, kRunning, kBlocked, kFinished };
 
   using Body = std::function<GuestTask(SoftContext&)>;
 
-  SoftThread(uint32_t id, std::string name, Body body, Addr tcb)
-      : id_(id), name_(std::move(name)), body_(std::move(body)), tcb_(tcb), ctx_(this) {}
+  explicit SoftThread(Addr tcb) : tcb_(tcb) {}
 
-  uint32_t id() const { return id_; }
-  const std::string& name() const { return name_; }
   State state() const { return state_; }
   Addr tcb() const { return tcb_; }
-  SoftContext& ctx() { return ctx_; }
 
  private:
   friend class BaselineCpu;
-  uint32_t id_;
-  std::string name_;
-  Body body_;
+  // The execution block: held from Spawn until on_finish has returned.
+  struct Block {
+    std::string name;
+    Body body;
+    SoftContext ctx;
+    GuestTask task;
+    std::function<void()> on_finish;
+  };
+
   Addr tcb_;
-  SoftContext ctx_;
-  GuestTask task_;
+  Block* block_ = nullptr;  // null once finished
   State state_ = State::kRunnable;
-  std::function<void()> on_finish_;
 };
 
 // One logical core of the baseline machine.
@@ -198,6 +199,10 @@ class BaselineCpu : public IrqSink {
   bool idle() const { return current_ == nullptr && runqueue_.empty() && pending_irqs_.empty(); }
   uint64_t context_switches() const { return stat_switches_.get(); }
   uint64_t irqs_handled() const { return stat_irqs_.get(); }
+  // Execution blocks this CPU has made: the most threads alive at once,
+  // counting a thread until its on_finish returns (tests; not a stat, so
+  // the golden digest does not see it).
+  size_t exec_blocks() const { return blocks_.size(); }
 
  private:
   // RunStep's result when the core went idle (no delay to schedule).
@@ -221,7 +226,13 @@ class BaselineCpu : public IrqSink {
   MemorySystem& mem_;
   BaselineConfig config_;
   CoreId core_;
-  std::vector<std::unique_ptr<SoftThread>> threads_;
+  // One record per Spawn, never freed (see SoftThread); the k-th Spawn's
+  // id is k, which places its TCB.
+  std::deque<SoftThread> threads_;
+  uint32_t next_id_ = 0;
+  // Execution blocks, and those no live thread holds.
+  std::deque<SoftThread::Block> blocks_;
+  std::vector<SoftThread::Block*> free_blocks_;
   std::deque<SoftThread*> runqueue_;
   SoftThread* current_ = nullptr;
   Tick dispatched_at_ = 0;

@@ -1,9 +1,12 @@
 // Tests for the baseline (conventional) architecture model: scheduler
 // dispatch, context-switch costs, blocking/wakeup, IRQ delivery and
-// preemption, quantum round robin, syscall mode switches, and VM-exits.
+// preemption, quantum round robin, syscall mode switches, VM-exits, and
+// the storage finished threads leave behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -359,6 +362,113 @@ TEST(BaselineTest, WakeOnFinishedThreadIsNoOp) {
   m.cpu(0).Wake(t);  // must not re-enqueue a finished thread
   ASSERT_TRUE(m.RunToQuiescence());
   EXPECT_EQ(t->state(), SoftThread::State::kFinished);
+}
+
+// The record a finished thread leaves behind holds its state and TCB only.
+static_assert(sizeof(SoftThread) <= 32);
+
+// A dispatcher serves 20,000 short requests in bursts of 1-3 threads. The
+// CPU holds an execution block per thread alive at once, not per thread
+// spawned, while every record stays readable and keeps the TCB its spawn
+// order gives it.
+TEST(BaselineTest, FinishedThreadsReturnTheirBlocks) {
+  constexpr uint32_t kRequests = 20000;
+  BaselineMachineConfig cfg;
+  cfg.num_cpus = 2;
+  BaselineMachine m(cfg);
+  BaselineCpu& cpu = m.cpu(1);
+  std::vector<SoftThread*> spawned;
+  size_t alive = 0;
+  size_t max_alive = 0;
+  auto spawn = [&](SoftThread::Body body, std::function<void()> on_finish) {
+    spawned.push_back(cpu.Spawn("t", std::move(body), std::move(on_finish)));
+    max_alive = std::max(max_alive, ++alive);
+    return spawned.back();
+  };
+  SoftThread* dispatcher = nullptr;
+  uint32_t in_burst = 0;
+  uint32_t served = 0;
+  dispatcher = spawn(
+      [&](SoftContext& ctx) -> GuestTask {
+        for (uint32_t sent = 0, burst = 0; sent < kRequests; burst++) {
+          for (uint32_t j = std::min(1 + burst % 3, kRequests - sent); j > 0; j--, sent++) {
+            in_burst++;
+            spawn(
+                [&served, sent](SoftContext& wctx) -> GuestTask {
+                  co_await wctx.Compute(20 + sent % 7);
+                  co_await wctx.Store(0x5000, sent);
+                  served++;
+                },
+                [&] {
+                  alive--;
+                  if (--in_burst == 0) {
+                    cpu.Wake(dispatcher);
+                  }
+                });
+          }
+          while (in_burst > 0) {
+            co_await ctx.Block();
+          }
+        }
+      },
+      [&] { alive--; });
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_EQ(served, kRequests);
+  EXPECT_EQ(alive, 0u);
+  ASSERT_EQ(spawned.size(), kRequests + 1);
+  EXPECT_EQ(max_alive, 4u);  // the dispatcher and a burst of 3
+  EXPECT_EQ(cpu.exec_blocks(), max_alive);
+  for (uint32_t k = 0; k < spawned.size(); k++) {
+    ASSERT_EQ(spawned[k]->state(), SoftThread::State::kFinished) << "thread " << k;
+    ASSERT_EQ(spawned[k]->tcb(), kTcbBase + (Addr{1} << 20) + Addr{k} * 1024) << "thread " << k;
+  }
+}
+
+// A pointer kept past its thread's end must not reach whichever thread runs
+// in that thread's place later.
+TEST(BaselineTest, StaleWakeNeverReachesANewThread) {
+  BaselineMachine m;
+  SoftThread* stale = m.cpu(0).Spawn("short", [](SoftContext& ctx) -> GuestTask {
+    co_await ctx.Compute(10);
+  });
+  ASSERT_TRUE(m.RunToQuiescence());
+  ASSERT_EQ(stale->state(), SoftThread::State::kFinished);
+  bool resumed = false;
+  SoftThread* sleeper = m.cpu(0).Spawn("sleeper", [&](SoftContext& ctx) -> GuestTask {
+    co_await ctx.Block();
+    resumed = true;
+  });
+  ASSERT_TRUE(m.RunToQuiescence());
+  ASSERT_EQ(sleeper->state(), SoftThread::State::kBlocked);
+  m.cpu(0).Wake(stale);
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(sleeper->state(), SoftThread::State::kBlocked);
+  EXPECT_EQ(stale->state(), SoftThread::State::kFinished);
+}
+
+// An on_finish that spawns runs from its thread's block, so the new thread
+// must get another one; the callback's captures (here on the heap) must
+// outlive its Spawn.
+TEST(BaselineTest, OnFinishThatSpawnsKeepsItsBlock) {
+  BaselineMachine m;
+  BaselineCpu& cpu = m.cpu(0);
+  const std::string tag(64, 'x');
+  std::string seen;
+  SoftThread* child = nullptr;
+  cpu.Spawn(
+      "parent", [](SoftContext& ctx) -> GuestTask { co_await ctx.Compute(10); },
+      [&, tag] {
+        child = cpu.Spawn("child", [](SoftContext& ctx) -> GuestTask {
+          co_await ctx.Compute(10);
+        });
+        seen = tag;
+      });
+  ASSERT_TRUE(m.RunToQuiescence());
+  EXPECT_EQ(seen, tag);
+  ASSERT_NE(child, nullptr);
+  EXPECT_EQ(child->state(), SoftThread::State::kFinished);
+  EXPECT_EQ(cpu.exec_blocks(), 2u);
 }
 
 // What a differential run observes: every op completion and IRQ handler

@@ -10,12 +10,20 @@ runs the parent first when i is even and the change first when it is odd, so
 host drift over the session lands on both sides alike. It prints each pair's
 rel_wall (lower is better) and the ratio parent/change, then for rel_wall,
 rel_req_rate, setup_s and peak_rss_mb the parent's median and quartiles, the
-change's median, the median ratio and the number of pairs the change won.
+change's median, the median ratio, the number of pairs the change won and a
+verdict, with each metric's direction and bound read from BENCHMARK.json:
+
+    gain   the change won at least 90% of the pairs and the medians differ,
+           its way, by more than the parent's quartile spread;
+    worse  the change's median is worse than the parent's by more than the
+           metric's bound (a fraction of the parent's median);
+    flat   anything else.
 
 A host-speed change must not move a simulated result: if any `sim`-kind
 metric line other than sim.events_per_req (a dispatch count) differs between
-the two runs of a pair, or a run fails, the script exits 1. Usage errors exit
-2. sim.events_per_req of both sides is printed.
+the two runs of a pair, or a run fails, the script exits 1; so does any
+`worse` verdict. Usage errors exit 2. sim.events_per_req of both sides is
+printed.
 """
 import argparse
 import json
@@ -26,9 +34,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("ring_colocated", "rpc_fabric", "trap_baseline")
-# Metric -> True when higher is better.
-REPORTED = (("rel_wall", False), ("rel_req_rate", True), ("setup_s", False),
-            ("peak_rss_mb", False))
+REPORTED = ("rel_wall", "rel_req_rate", "setup_s", "peak_rss_mb")
 
 
 def positive_int(text):
@@ -79,7 +85,7 @@ def run(binary, args):
             events = line.split()[1]
         else:
             sim.append(line)
-    metrics = {name: report["metrics"][name]["value"] for name, _ in REPORTED}
+    metrics = {name: report["metrics"][name]["value"] for name in REPORTED}
     return metrics, sim, events
 
 
@@ -90,8 +96,34 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def declared():
+    """BENCHMARK.json's end-to-end metrics by name: (higher is better, bound)."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    return {m["name"]: (m["better"] == "higher", m["bound"]) for m in spec["end_to_end"]}
+
+
+def summarize(parent, change, higher, bound):
+    """One metric's table row: parent quartiles and median, change median,
+    ratio (> 1: the change is better), wins and verdict (see the top)."""
+    q1, q3 = quartiles(parent)
+    pm = statistics.median(parent)
+    cm = statistics.median(change)
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    ratio = (cm / pm if higher else pm / cm) if min(pm, cm) > 0 else float("nan")
+    gained = (cm - pm) if higher else (pm - cm)  # > 0: the change is better
+    if -gained > bound * abs(pm):
+        verdict = "worse"
+    elif wins * 10 >= len(parent) * 9 and gained > q3 - q1:
+        verdict = "gain"
+    else:
+        verdict = "flat"
+    return q1, pm, q3, cm, ratio, wins, verdict
+
+
 def main(argv):
     args = parse_args(argv)
+    spec = declared()
     results = {"parent": [], "change": []}
     print("reqbench_ab: %s seed=%d pairs=%d seconds=%d"
           % (args.workload, args.seed, args.pairs, args.seconds))
@@ -112,20 +144,19 @@ def main(argv):
         if i == 0:
             print("sim.events_per_req: parent %s change %s"
                   % (pair["parent"][2], pair["change"][2]))
-    print("%-14s %12s %12s %12s %12s %8s %6s"
-          % ("metric", "parent_q1", "parent_med", "parent_q3", "change_med", "ratio", "wins"))
-    for name, higher in REPORTED:
-        parent = [r[name] for r in results["parent"]]
-        change = [r[name] for r in results["change"]]
-        q1, q3 = quartiles(parent)
-        pm = statistics.median(parent)
-        cm = statistics.median(change)
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        # ratio > 1 means the change is better, for either direction.
-        ratio = (cm / pm if higher else pm / cm) if min(pm, cm) > 0 else float("nan")
-        print("%-14s %12.4f %12.4f %12.4f %12.4f %8.3f %3d/%d"
-              % (name, q1, pm, q3, cm, ratio, wins, args.pairs))
-    return 0
+    print("%-14s %12s %12s %12s %12s %8s %6s  %s"
+          % ("metric", "parent_q1", "parent_med", "parent_q3", "change_med", "ratio", "wins",
+             "verdict"))
+    status = 0
+    for name in REPORTED:
+        higher, bound = spec[name]
+        q1, pm, q3, cm, ratio, wins, verdict = summarize(
+            [r[name] for r in results["parent"]], [r[name] for r in results["change"]],
+            higher, bound)
+        status = 1 if verdict == "worse" else status
+        print("%-14s %12.4f %12.4f %12.4f %12.4f %8.3f %3d/%d  %s"
+              % (name, q1, pm, q3, cm, ratio, wins, args.pairs, verdict))
+    return status
 
 
 if __name__ == "__main__":
