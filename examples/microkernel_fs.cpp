@@ -25,6 +25,8 @@
 
 using namespace casc;
 
+constexpr uint32_t kRingEntries = 16;  // --ring depth, and so the largest --batch
+
 int main(int argc, char** argv) {
   Config cfg;
   std::string err;
@@ -34,12 +36,24 @@ int main(int argc, char** argv) {
   }
   Machine m;
   const bool use_ring = cfg.GetBool("ring", false);
-  const uint32_t workers = static_cast<uint32_t>(cfg.GetUint("workers", 2));
-  const uint32_t batch = static_cast<uint32_t>(cfg.GetUint("batch", 3));
+  const uint64_t workers_flag = cfg.GetUint("workers", 2);
+  const uint64_t batch_flag = cfg.GetUint("batch", 3);
   ExampleTrace trace(m, cfg);
   if (cfg.ReportParseErrors()) {
     return 2;  // a malformed flag value must not silently become the default
   }
+  // Checked before narrowing: RingServer only asserts its worker count, and a
+  // batch of 0 or one deeper than the ring would wait forever.
+  if (workers_flag < 1 || workers_flag > Ring::kMaxWorkers) {
+    std::fprintf(stderr, "--workers must be 1..%u\n", Ring::kMaxWorkers);
+    return 2;
+  }
+  if (batch_flag < 1 || batch_flag > kRingEntries) {
+    std::fprintf(stderr, "--batch must be 1..%u\n", kRingEntries);
+    return 2;
+  }
+  const uint32_t workers = static_cast<uint32_t>(workers_flag);
+  const uint32_t batch = static_cast<uint32_t>(batch_flag);
   BlockDevice disk(m.sim(), m.mem(), BlockConfig{});
 
   // "Format" the disk: a toy 1-sector-per-file filesystem.
@@ -67,7 +81,7 @@ int main(int argc, char** argv) {
   const Channel ch{0x00400000};
   Ptid service = kInvalidPtid;
   RingConfig ring_cfg;
-  ring_cfg.entries = 16;
+  ring_cfg.entries = kRingEntries;
   ring_cfg.num_workers = workers;
   ring_cfg.name = "fs";
   RingServer ring_server(m, 0, /*first_local=*/0, 0x00410000, ring_cfg,

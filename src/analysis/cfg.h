@@ -38,10 +38,6 @@ struct Cfg {
   std::vector<size_t> block_of;          // instruction index -> block id
   size_t primary_entry = SIZE_MAX;       // block of the thread entry point
   std::vector<size_t> secondary_entries; // blocks of address-taken code
-
-  const BasicBlock& BlockOfInst(size_t inst_index) const {
-    return blocks[block_of[inst_index]];
-  }
 };
 
 // True if control cannot fall through past `inst` to the next word.

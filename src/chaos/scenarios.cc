@@ -913,20 +913,27 @@ const std::vector<FaultClass>& AllScenarioClasses() {
   return kAll;
 }
 
+namespace {
+
+std::vector<FaultClass> ScenarioClassesWhere(bool cross_core) {
+  std::vector<FaultClass> out;
+  for (FaultClass cls : AllScenarioClasses()) {
+    if (IsCrossCoreFault(cls) == cross_core) {
+      out.push_back(cls);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 const std::vector<FaultClass>& CrossCoreScenarioClasses() {
-  static const std::vector<FaultClass> kCross = {
-      FaultClass::kFabricLinkFault,
-      FaultClass::kMigrationCrash,
-      FaultClass::kRemoteStartRace,
-  };
+  static const std::vector<FaultClass> kCross = ScenarioClassesWhere(true);
   return kCross;
 }
 
 const std::vector<FaultClass>& SingleCoreScenarioClasses() {
-  static const std::vector<FaultClass> kSingle = {
-      FaultClass::kNicDmaBadAddr, FaultClass::kBlockTimeout, FaultClass::kMsixDoorbellDrop,
-      FaultClass::kContextPoison, FaultClass::kEdpUnwritable, FaultClass::kHandlerCrash,
-  };
+  static const std::vector<FaultClass> kSingle = ScenarioClassesWhere(false);
   return kSingle;
 }
 

@@ -70,7 +70,6 @@ class GuestTask {
 
   bool valid() const { return handle_ != nullptr; }
   bool done() const { return handle_ && handle_.done(); }
-  void Resume() { handle_.resume(); }
   std::coroutine_handle<promise_type> handle() const { return handle_; }
 
  private:

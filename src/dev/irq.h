@@ -7,7 +7,6 @@
 #define SRC_DEV_IRQ_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -20,23 +19,14 @@ class IrqSink {
   virtual void RaiseIrq(uint32_t vector) = 0;
 };
 
-// Trivial dispatcher: routes vectors to registered handlers (tests, glue).
+// Trivial sink: records every raised vector in order (tests, glue).
 class IrqDispatcher : public IrqSink {
  public:
-  using Handler = std::function<void(uint32_t vector)>;
-
-  void SetHandler(Handler handler) { handler_ = std::move(handler); }
-  void RaiseIrq(uint32_t vector) override {
-    raised_.push_back(vector);
-    if (handler_) {
-      handler_(vector);
-    }
-  }
+  void RaiseIrq(uint32_t vector) override { raised_.push_back(vector); }
 
   const std::vector<uint32_t>& raised() const { return raised_; }
 
  private:
-  Handler handler_;
   std::vector<uint32_t> raised_;
 };
 

@@ -199,18 +199,4 @@ Tick MemorySystem::BulkLatency(MemLevel level, uint32_t bytes) const {
   return kDramLatency + transfer;
 }
 
-uint64_t MemorySystem::LevelCapacity(MemLevel level) const {
-  switch (level) {
-    case MemLevel::kL1:
-      return config_.l1d.size_bytes;
-    case MemLevel::kL2:
-      return config_.l2.size_bytes;
-    case MemLevel::kL3:
-      return config_.l3.size_bytes;
-    case MemLevel::kDram:
-      return UINT64_MAX;
-  }
-  return UINT64_MAX;
-}
-
 }  // namespace casc

@@ -123,7 +123,6 @@ class MemorySystem {
 
   // --- MMIO ---------------------------------------------------------------
   void RegisterMmio(Addr base, uint64_t size, MmioDevice* device);
-  bool IsMmio(Addr addr) const { return FindMmio(addr) != nullptr; }
 
   // --- Protection ----------------------------------------------------------
   // Minimal memory protection (stands in for paging): user-mode accesses to
@@ -150,7 +149,6 @@ class MemorySystem {
   void AddUnwritableRange(Addr base, uint64_t size) {
     unwritable_.push_back({base, base + size});
   }
-  void ClearUnwritableRanges() { unwritable_.clear(); }
   void RemoveUnwritableRange(Addr base, uint64_t size) {
     std::erase(unwritable_, std::pair<Addr, Addr>{base, base + size});
   }
@@ -174,9 +172,6 @@ class MemorySystem {
   // Latency to move `bytes` of contiguous state to/from the given level:
   // level base latency + ceil(bytes / link width).
   Tick BulkLatency(MemLevel level, uint32_t bytes) const;
-
-  // Capacity of a level in bytes (for context-store tier sizing).
-  uint64_t LevelCapacity(MemLevel level) const;
 
   // §4 criticality pinning: protect `size` bytes at `base` from eviction in
   // `core`'s private caches (fine-grain partitioning).

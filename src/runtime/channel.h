@@ -21,17 +21,10 @@ namespace casc {
 struct Channel {
   Addr base = 0;
 
-  static constexpr uint64_t kBytes = 256;
-
   Addr req() const { return base; }
   Addr resp() const { return base + 64; }
   Addr arg(uint32_t i) const { return base + 128 + 8 * i; }
   Addr ret() const { return base + 192; }
-
-  // The i-th channel in an array starting at `array_base`.
-  static Channel AtIndex(Addr array_base, uint32_t i) {
-    return Channel{array_base + static_cast<Addr>(i) * kBytes};
-  }
 };
 
 }  // namespace casc

@@ -4,7 +4,7 @@
 // completion-ring head line; kernel worker ptids drain the SR, execute
 // requests through the same `SyscallHandler` dispatch as the per-call
 // channel layer, and post completions to the completion ring (CR). One ring
-// implementation serves both syscalls and microkernel IPC (RpcMode::kRing).
+// implementation serves both syscalls and microkernel IPC.
 //
 // Memory layout at `base` (every control word on its own 64-byte line so the
 // monitor filter wakes exactly the intended side):

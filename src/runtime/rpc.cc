@@ -1,6 +1,7 @@
 #include "src/runtime/rpc.h"
 
 #include <cstring>
+#include <deque>
 
 namespace casc {
 
@@ -39,7 +40,7 @@ NicRings SetupNicRings(MemorySystem& mem, Nic& nic, Addr region, uint32_t entrie
 }
 
 RpcNode::RpcNode(Machine& machine, CoreId core, uint64_t node_id, Nic* nic, Addr region,
-                 uint32_t num_workers, RpcMode mode, RingConfig ring_cfg)
+                 uint32_t num_workers, RpcMode mode)
     : machine_(machine),
       core_(core),
       node_id_(node_id),
@@ -47,25 +48,11 @@ RpcNode::RpcNode(Machine& machine, CoreId core, uint64_t node_id, Nic* nic, Addr
       region_(region),
       num_workers_(num_workers),
       mode_(mode),
-      ring_cfg_(std::move(ring_cfg)),
       served_(machine.sim().stats().Intern("runtime.rpc.node" + std::to_string(node_id) +
                                            ".served")) {}
 
 void RpcNode::Install() {
   rings_ = SetupNicRings(machine_.mem(), *nic_, region_, kRingEntries);
-  if (mode_ == RpcMode::kRing) {
-    ring_cfg_.num_workers = num_workers_;
-    ring_cfg_.name = "rpc.node" + std::to_string(node_id_);
-    ring_server_ = std::make_unique<RingServer>(machine_, core_, /*first_local=*/1,
-                                                region_ + 0xe0000, ring_cfg_, ServeHandler());
-    ring_server_->Install();
-    ring_ = ring_server_->ring();
-    const Ptid dispatcher = machine_.BindNative(
-        core_, 0, [this](GuestContext& ctx) -> GuestTask { return RingDispatcher(ctx); },
-        /*supervisor=*/true);
-    machine_.Start(dispatcher);
-    return;
-  }
   if (mode_ == RpcMode::kEventLoop) {
     const Ptid loop = machine_.BindNative(
         core_, 0, [this](GuestContext& ctx) -> GuestTask { return EventLoop(ctx); },
@@ -185,79 +172,6 @@ GuestTask RpcNode::Worker(GuestContext& ctx, uint32_t index) {
     co_await ctx.Store(entry + 16, RpcFrame::kBytes);
     co_await ctx.Store(entry + 24, ticket + 1);  // valid marker, written last
     co_await ctx.AtomicAdd(DoneDoorbell(), 1);
-  }
-}
-
-SyscallHandler RpcNode::ServeHandler() {
-  return [this](GuestContext& ctx, const SyscallRequest& req, uint64_t* ret) -> GuestTask {
-    co_await ctx.Compute(req.a2);  // the application work
-    // Stage the response in a ticket-indexed slot; the dispatcher transmits
-    // it when the completion surfaces (it owns the TX tail).
-    const uint64_t ticket = co_await ctx.AtomicAdd(DoneTicket(), 1);
-    const Addr staging = TxStaging(ticket);
-    co_await ctx.Store(staging, req.a0);        // fabric dst (the client)
-    co_await ctx.Store(staging + 8, node_id_);  // fabric src
-    co_await ctx.Store(staging + RpcFrame::kReqIdOff, req.a1);
-    *ret = staging;
-  };
-}
-
-GuestTask RpcNode::DrainRing(GuestContext& ctx, std::deque<uint64_t>& outstanding) {
-  // Workers may finish out of order, so probe the whole outstanding window,
-  // not just the head.
-  for (auto it = outstanding.begin(); it != outstanding.end();) {
-    uint64_t staging = 0;
-    bool done = false;
-    co_await ctx.Call(RingTryCollect(ctx, ring_, *it, &staging, &done));
-    if (done) {
-      co_await ctx.Call(Transmit(ctx, staging, RpcFrame::kBytes));
-      served_++;
-      it = outstanding.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-GuestTask RpcNode::RingDispatcher(GuestContext& ctx) {
-  std::deque<uint64_t> outstanding;  // ring tickets in submission order
-  uint64_t rx_seen = 0;
-  co_await ctx.Monitor(rings_.rx_tail);
-  co_await ctx.Monitor(ring_.cr_head());
-  for (;;) {
-    // 1. Completions: transmit staged responses.
-    co_await ctx.Call(DrainRing(ctx, outstanding));
-    // 2. New requests become ring descriptors. RingSubmit applies the ring's
-    // own backpressure if the workers fall behind.
-    const uint64_t tail = co_await ctx.Load(rings_.rx_tail);
-    while (rx_seen < tail) {
-      // Cap in-flight tickets at the ring depth (the §4l no-deadlock
-      // contract). The dispatcher is this ring's only completion consumer:
-      // were it to sink into RingSubmit's backpressure wait with a full
-      // window of unconsumed completions, the workers would all be blocked
-      // on the overwrite guard waiting for consumed tags only the
-      // dispatcher writes — a circular wait. Drain here instead, mwaiting
-      // on cr_head (armed above) until a completion frees a slot.
-      while (outstanding.size() >= ring_.entries) {
-        const size_t before = outstanding.size();
-        co_await ctx.Call(DrainRing(ctx, outstanding));
-        if (outstanding.size() == before) {
-          co_await ctx.Mwait();
-        }
-      }
-      const Addr buf = rings_.rx_bufs + (rx_seen % kRingEntries) * 2048;
-      SyscallRequest req;
-      req.nr = kRpcServe;
-      req.a0 = co_await ctx.Load(buf + 8);  // fabric src
-      req.a1 = co_await ctx.Load(buf + RpcFrame::kReqIdOff);
-      req.a2 = co_await ctx.Load(buf + RpcFrame::kServiceOff);
-      rx_seen++;
-      co_await ctx.Store(nic_->config().mmio_base + kNicRxHead, rx_seen);
-      uint64_t ticket = 0;
-      co_await ctx.Call(RingSubmit(ctx, ring_, req, &ticket));
-      outstanding.push_back(ticket);
-    }
-    co_await ctx.Mwait();
   }
 }
 

@@ -10,25 +10,15 @@
 #ifndef SRC_RUNTIME_RPC_H_
 #define SRC_RUNTIME_RPC_H_
 
-#include <deque>
-#include <memory>
 #include <vector>
 
 #include "src/cpu/machine.h"
 #include "src/dev/fabric.h"
 #include "src/dev/nic.h"
-#include "src/runtime/ring.h"
 
 namespace casc {
 
-// kRing routes the node over the shared ring transport (src/runtime/ring.h):
-// the dispatcher submits each request as a ring descriptor and ring workers
-// serve it, replacing the per-worker mailbox handoff.
-enum class RpcMode { kThreadPerRequest, kEventLoop, kRing };
-
-// Ring-mode request number: a0 = client node, a1 = req id, a2 = service
-// cycles; the handler stages the response frame and returns its address.
-inline constexpr uint64_t kRpcServe = 1;
+enum class RpcMode { kThreadPerRequest, kEventLoop };
 
 // Request frame layout (after the 16-byte FabricHeader):
 //   +16 request id, +24 service cycles. Responses echo dst/src/req_id.
@@ -58,7 +48,7 @@ class RpcNode {
   static constexpr uint32_t kRingEntries = 256;
 
   RpcNode(Machine& machine, CoreId core, uint64_t node_id, Nic* nic, Addr region,
-          uint32_t num_workers, RpcMode mode, RingConfig ring_cfg = RingConfig{});
+          uint32_t num_workers, RpcMode mode);
 
   // Sets up rings/mailboxes, binds programs (dispatcher at local thread 0,
   // workers at 1..num_workers), and starts them.
@@ -81,12 +71,6 @@ class RpcNode {
   GuestTask Dispatcher(GuestContext& ctx);
   GuestTask Worker(GuestContext& ctx, uint32_t index);
   GuestTask EventLoop(GuestContext& ctx);
-  GuestTask RingDispatcher(GuestContext& ctx);
-  // One probe pass over the in-flight ticket window: transmits every posted
-  // completion (workers finish out of order) and erases it from `outstanding`.
-  GuestTask DrainRing(GuestContext& ctx, std::deque<uint64_t>& outstanding);
-  // Ring-worker handler for kRpcServe: service cycles + response staging.
-  SyscallHandler ServeHandler();
   // Shared TX tail: writes the descriptor for a staged response and rings
   // the doorbell. Dispatcher-only (single writer).
   GuestTask Transmit(GuestContext& ctx, Addr buf, uint32_t len);
@@ -99,9 +83,6 @@ class RpcNode {
   uint32_t num_workers_;
   RpcMode mode_;
   NicRings rings_;
-  RingConfig ring_cfg_;
-  Ring ring_;  // kRing transport, homed at region_ + 0xe0000
-  std::unique_ptr<RingServer> ring_server_;
   StatsRegistry::CounterHandle served_;
   uint64_t tx_produced_ = 0;  // TX ring slot allocator, not a statistic
 };

@@ -80,12 +80,4 @@ SyscallHandler MakeProxyHandler(Channel upstream, Tick policy_cycles) {
   };
 }
 
-SyscallHandler MakeRingProxyHandler(Ring upstream, Tick policy_cycles) {
-  return [upstream, policy_cycles](GuestContext& ctx, const SyscallRequest& req,
-                                   uint64_t* ret) -> GuestTask {
-    co_await ctx.Compute(policy_cycles);  // policy: filtering, telemetry, routing
-    co_await ctx.Call(RingCall(ctx, upstream, req, ret));
-  };
-}
-
 }  // namespace casc

@@ -11,7 +11,6 @@
 #include "src/dev/block_dev.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/hash_table.h"
-#include "src/runtime/ring.h"
 #include "src/runtime/syscall_layer.h"
 
 namespace casc {
@@ -56,12 +55,6 @@ SyscallHandler MakeFileHandler(BlockDriver drv);
 // service threads; no kernel hops. Combine with MakeSyscallServer:
 //   MakeSyscallServer(app_channel, MakeProxyHandler(upstream, 80))
 SyscallHandler MakeProxyHandler(Channel upstream, Tick policy_cycles);
-
-// Ring-backed proxy: same policy interposition, but the upstream hop rides
-// the shared ring transport (src/runtime/ring.h) instead of a per-call
-// channel — the proxy chain composes with RingServer on both sides:
-//   RingServer(..., MakeRingProxyHandler(upstream_ring, 80))
-SyscallHandler MakeRingProxyHandler(Ring upstream, Tick policy_cycles);
 
 }  // namespace casc
 

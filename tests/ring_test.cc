@@ -1,10 +1,12 @@
 // Tests for the shared-ring syscall/IPC transport (DESIGN.md §4l): batched
 // submit/collect round trips, full-ring backpressure, the completion
-// overwrite guard, ticket wraparound at the 2^64 index max, the worker
+// overwrite guard, a pipelined sole-consumer frontend under a burst beyond
+// the ring depth, ticket wraparound at the 2^64 index max, the worker
 // park/deep-park/scale-up policy (including the lost-wakeup regression), and
 // independent rings on several cores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -140,6 +142,82 @@ TEST(RingTest, FullRingBackpressureAndCompletionOverwriteGuard) {
   EXPECT_EQ(Read64(m, server.ring().cr_head()), 8u);
   for (uint64_t i = 0; i < kN; i++) {
     EXPECT_EQ(rets[i], i + 100) << "ticket " << i;
+  }
+}
+
+// The §4l no-deadlock contract for a pipelined frontend that is the ring's
+// only completion consumer (E14's RunBursty, reqbench's ring_colocated): it
+// submits at most `entries - outstanding` requests, so it never sinks into
+// RingSubmitBatch's backpressure wait while completions only it can consume
+// hold every worker on the overwrite guard. A burst six times the ring depth
+// lands in one arrival-tail update; uneven service times make completions
+// post out of ticket order.
+TEST(RingTest, PipelinedFrontendDrainsBurstBeyondRingDepth) {
+  Machine m;
+  RingConfig cfg;
+  cfg.entries = 4;
+  cfg.num_workers = 3;
+  cfg.name = "burst";
+  RingServer server(m, 0, 0, kRingBase, cfg, AddHandler());
+  server.Install();
+  constexpr uint64_t kBurst = 24;
+  constexpr Addr kArrivalTail = kFlagAddr;
+  std::vector<SyscallRequest> burst;
+  for (uint64_t i = 0; i < kBurst; i++) {
+    burst.push_back({.nr = 1, .a0 = i, .a1 = 1000 * i, .a2 = i % 5 == 0 ? uint64_t{6000} : uint64_t{800}});
+  }
+  std::vector<uint32_t> completions(kBurst, 0);
+  std::vector<uint64_t> rets(kBurst, 0);
+  const Ring ring = server.ring();
+  const Ptid frontend = m.BindNative(
+      0, 3,
+      [&](GuestContext& ctx) -> GuestTask {
+        uint64_t seen = 0;
+        std::vector<std::pair<uint64_t, uint64_t>> outstanding;  // (ticket, request)
+        co_await ctx.Monitor(kArrivalTail);
+        co_await ctx.Monitor(ring.cr_head());
+        for (;;) {
+          bool progress = false;
+          for (size_t i = 0; i < outstanding.size();) {
+            uint64_t ret = 0;
+            bool done = false;
+            co_await ctx.Call(RingTryCollect(ctx, ring, outstanding[i].first, &ret, &done));
+            if (done) {
+              completions[outstanding[i].second]++;
+              rets[outstanding[i].second] = ret;
+              outstanding[i] = outstanding.back();
+              outstanding.pop_back();
+              progress = true;
+            } else {
+              i++;
+            }
+          }
+          const uint64_t tail = co_await ctx.Load(kArrivalTail);
+          const uint64_t room = ring.entries - outstanding.size();
+          const auto n = static_cast<uint32_t>(std::min<uint64_t>(tail - seen, room));
+          if (n > 0) {
+            uint64_t first = 0;
+            co_await ctx.Call(RingSubmitBatch(ctx, ring, &burst[seen], n, &first));
+            for (uint32_t i = 0; i < n; i++) {
+              outstanding.emplace_back(first + i, seen + i);
+            }
+            seen += n;
+            progress = true;
+          }
+          if (!progress) {
+            co_await ctx.Mwait();
+          }
+        }
+      },
+      /*supervisor=*/false);
+  m.Start(frontend);
+  m.RunFor(1000);  // workers and frontend park
+  m.mem().DmaWrite64(kArrivalTail, kBurst);
+  m.RunFor(2000000);
+  EXPECT_EQ(server.served(), kBurst) << "frontend and workers wedged under the burst";
+  for (uint64_t i = 0; i < kBurst; i++) {
+    EXPECT_EQ(completions[i], 1u) << "request " << i;
+    EXPECT_EQ(rets[i], 1001 * i) << "request " << i;
   }
 }
 

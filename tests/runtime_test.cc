@@ -10,6 +10,7 @@
 #include "src/runtime/channel.h"
 #include "src/runtime/hash_table.h"
 #include "src/runtime/hypervisor.h"
+#include "src/runtime/ring.h"
 #include "src/runtime/rpc.h"
 #include "src/runtime/services.h"
 #include "src/runtime/syscall_layer.h"
@@ -347,9 +348,9 @@ class RpcTest : public ::testing::Test {
     });
   }
 
-  void RunNode(RpcMode mode, uint32_t workers, RingConfig ring_cfg = RingConfig{}) {
+  void RunNode(RpcMode mode, uint32_t workers) {
     node_ = std::make_unique<RpcNode>(*machine_, 0, kServerNode, server_nic_.get(), 0x03000000,
-                                      workers, mode, std::move(ring_cfg));
+                                      workers, mode);
     node_->Install();
     machine_->RunFor(1000);  // let threads park
   }
@@ -438,76 +439,6 @@ TEST_F(RpcTest, EventLoopHeadOfLineBlocks) {
     }
   }
   EXPECT_GT(min_short, long_done);
-}
-
-TEST_F(RpcTest, RingModeServesAndResponds) {
-  // kRing: RX frames become ring descriptors, a worker pool drains them, the
-  // dispatcher transmits staged responses as completions post.
-  RunNode(RpcMode::kRing, 3);
-  for (uint64_t i = 1; i <= 8; i++) {
-    SendRequest(i, 1500);
-  }
-  machine_->RunFor(400000);
-  ASSERT_EQ(responses_.size(), 8u);
-  EXPECT_EQ(node_->served(), 8u);
-  std::vector<uint64_t> ids;
-  for (auto& [id, t] : responses_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6, 7, 8}));
-}
-
-TEST_F(RpcTest, RingModeOverlapsLongRequests) {
-  // The worker pool gives kRing the same PS-like overlap as
-  // thread-per-request — without a dispatcher hop per request.
-  RunNode(RpcMode::kRing, 4);
-  SendRequest(100, 50000);
-  machine_->RunFor(2000);
-  for (uint64_t i = 1; i <= 3; i++) {
-    SendRequest(i, 1000);
-  }
-  machine_->RunFor(500000);
-  ASSERT_EQ(responses_.size(), 4u);
-  Tick long_done = 0;
-  Tick max_short = 0;
-  for (auto& [id, t] : responses_) {
-    if (id == 100) {
-      long_done = t;
-    } else {
-      max_short = std::max(max_short, t);
-    }
-  }
-  EXPECT_LT(max_short, long_done);
-}
-
-TEST_F(RpcTest, RingModeSurvivesBurstBeyondRingDepth) {
-  // Deadlock regression: a burst far larger than the ring depth lands in one
-  // rx_tail snapshot. The dispatcher is the ring's only completion consumer,
-  // so it must drain completions while submitting; a dispatcher that pushed
-  // the whole snapshot first would wedge — every worker blocked on the
-  // completion overwrite guard waiting for consumed tags only the dispatcher
-  // writes, the dispatcher blocked in RingSubmit's backpressure wait for a
-  // taken tag only a worker can write. A tiny ring makes the old circular
-  // wait reachable with a small burst (> ~2 * entries + workers).
-  RingConfig cfg;
-  cfg.entries = 4;
-  RunNode(RpcMode::kRing, 3, cfg);
-  constexpr uint64_t kBurst = 24;
-  for (uint64_t i = 1; i <= kBurst; i++) {
-    SendRequest(i, 1500);
-  }
-  machine_->RunFor(2000000);
-  ASSERT_EQ(responses_.size(), kBurst) << "dispatcher deadlocked under burst";
-  EXPECT_EQ(node_->served(), kBurst);
-  std::vector<uint64_t> ids;
-  for (auto& [id, t] : responses_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (uint64_t i = 0; i < kBurst; i++) {
-    EXPECT_EQ(ids[i], i + 1);
-  }
 }
 
 TEST(ServicesTest, RingProxyChainsToChannelService) {
